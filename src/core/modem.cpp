@@ -75,14 +75,10 @@ std::span<const double> Modem::raw(std::uint64_t from, std::size_t len) const {
 std::span<const RxSample> Modem::raw_rx(std::uint64_t from,
                                         std::size_t len) const {
   const std::span<const double> w = raw(from, len);
-#if defined(AQUA_RX_DOUBLE)
-  return w;  // identity: the A/B build reads the ring directly
-#else
   // lint: alloc-ok(member scratch: capacity persists across calls, so steady state reuses the buffer)
   rx_window_.resize(len);
   dsp::narrow_samples(w, rx_window_);
   return rx_window_;
-#endif
 }
 
 void Modem::enqueue_tx(std::span<const double> wave) {
@@ -398,11 +394,7 @@ std::vector<ModemEvent> Modem::push(std::span<const double> mic) {
     // of here (bandpass, correlation, confirmation) runs in RxSample.
     // lint: alloc-ok(member scratch: capacity persists across calls, so steady state reuses the buffer)
     rx_chunk_.resize(mic.size());
-#if defined(AQUA_RX_DOUBLE)
-    std::copy(mic.begin(), mic.end(), rx_chunk_.begin());
-#else
     dsp::narrow_samples(mic, rx_chunk_);
-#endif
     scanner_.scan(rx_chunk_, det_tmp_, scratch());
   }
   // lint: alloc-ok(detections are rare events — at most one per received packet)

@@ -139,11 +139,6 @@ constexpr Kernels kScalarKernels{"scalar",
 
 // Widest supported target among those compiled in, in preference order.
 const Kernels* detect() {
-#if defined(AQUA_SIMD_HAVE_AVX512)
-  if (cpu_supports(Isa::kAvx512)) {
-    if (const Kernels* k = avx512_kernels()) return k;
-  }
-#endif
 #if defined(AQUA_SIMD_HAVE_AVX2)
   if (cpu_supports(Isa::kAvx2)) {
     if (const Kernels* k = avx2_kernels()) return k;
@@ -166,9 +161,6 @@ const Kernels* select() {
     if (std::strcmp(want, "avx2") == 0) {
       isa = Isa::kAvx2;
       known = true;
-    } else if (std::strcmp(want, "avx512") == 0) {
-      isa = Isa::kAvx512;
-      known = true;
     } else if (std::strcmp(want, "neon") == 0) {
       isa = Isa::kNeon;
       known = true;
@@ -182,7 +174,7 @@ const Kernels* select() {
     } else {
       std::fprintf(stderr,
                    "aqua: unknown AQUA_SIMD=%s (expected "
-                   "scalar|avx2|avx512|neon); auto-detecting instead\n",
+                   "scalar|avx2|neon); auto-detecting instead\n",
                    want);
     }
   }
@@ -198,14 +190,6 @@ bool cpu_supports(Isa isa) {
     case Isa::kAvx2:
 #if defined(__x86_64__) || defined(__i386__)
       return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-      return false;
-#endif
-    case Isa::kAvx512:
-#if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("avx512f") &&
-             __builtin_cpu_supports("avx512vl") &&
-             __builtin_cpu_supports("avx512dq");
 #else
       return false;
 #endif
@@ -226,11 +210,6 @@ const Kernels* kernels_for(Isa isa) {
     case Isa::kAvx2:
 #if defined(AQUA_SIMD_HAVE_AVX2)
       if (cpu_supports(Isa::kAvx2)) return avx2_kernels();
-#endif
-      return nullptr;
-    case Isa::kAvx512:
-#if defined(AQUA_SIMD_HAVE_AVX512)
-      if (cpu_supports(Isa::kAvx512)) return avx512_kernels();
 #endif
       return nullptr;
     case Isa::kNeon:

@@ -3,8 +3,8 @@
 // The zero-allocation DSP core reduced every hot path to tight
 // span-over-span passes; this header names those passes as four kernel
 // families and selects the widest implementation the running CPU supports
-// once at startup (AVX-512 or AVX2+FMA on x86-64, NEON on AArch64,
-// portable scalar anywhere):
+// once at startup (AVX2+FMA on x86-64, NEON on AArch64, portable scalar
+// anywhere):
 //
 //   * `cmul_inplace` — the overlap-save block multiply-accumulate: the
 //     pointwise spectrum product at the center of every `FftFilter` block
@@ -36,8 +36,7 @@
 // course not the double results.
 //
 // Dispatch is decided once (first use) from cpuid; `AQUA_SIMD=scalar`
-// (or `avx2` / `avx512` / `neon`) overrides it for A/B measurement and
-// testing.
+// (or `avx2` / `neon`) overrides it for A/B measurement and testing.
 #pragma once
 
 #include <cstddef>
@@ -51,14 +50,13 @@ namespace aqua::dsp::simd {
 enum class Isa {
   kScalar,  ///< portable C++ (std::fma), always available
   kAvx2,    ///< x86-64 AVX2 + FMA
-  kAvx512,  ///< x86-64 AVX-512 (F + VL + DQ)
   kNeon,    ///< AArch64 Advanced SIMD
 };
 
 /// One resolved set of kernel entry points. All entries of a table come
 /// from the same ISA; tables are immutable and process-lifetime.
 struct Kernels {
-  /// Human-readable target name ("scalar", "avx2", "avx512", "neon").
+  /// Human-readable target name ("scalar", "avx2", "neon").
   const char* name;
 
   /// Pointwise in-place complex product: y[i] *= x[i] for i < n.
@@ -105,8 +103,8 @@ struct Kernels {
 
 /// The kernel table selected for this process: the widest ISA the CPU
 /// supports among those compiled in, unless overridden by the AQUA_SIMD
-/// environment variable ("scalar", "avx2", "avx512", "neon"; unknown or
-/// unsupported values fall back to auto-detection with a stderr warning).
+/// environment variable ("scalar", "avx2", "neon"; unknown or unsupported
+/// values fall back to auto-detection with a stderr warning).
 /// Decided on first call, then constant.
 const Kernels& active();
 

@@ -6,14 +6,11 @@
 
 namespace aqua::dsp::simd {
 
-// Defined in simd_avx2.cpp / simd_avx512.cpp / simd_neon.cpp when CMake
+// Defined in simd_avx2.cpp / simd_neon.cpp when CMake
 // compiles them in (the TU carries the per-arch compile flags; nothing
 // outside it is built with anything beyond the baseline ISA).
 #if defined(AQUA_SIMD_HAVE_AVX2)
 const Kernels* avx2_kernels();
-#endif
-#if defined(AQUA_SIMD_HAVE_AVX512)
-const Kernels* avx512_kernels();
 #endif
 #if defined(AQUA_SIMD_HAVE_NEON)
 const Kernels* neon_kernels();

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <cstdlib>
 #include <random>
 #include <vector>
 
@@ -155,8 +156,8 @@ TEST(Rfft, RejectsBadSizes) {
 
 std::vector<const simd::Kernels*> runnable_targets() {
   std::vector<const simd::Kernels*> out;
-  for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2,
-                              simd::Isa::kAvx512, simd::Isa::kNeon}) {
+  for (const simd::Isa isa :
+       {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kNeon}) {
     if (const simd::Kernels* k = simd::kernels_for(isa)) out.push_back(k);
   }
   return out;
@@ -195,6 +196,19 @@ TEST(Simd, ActiveTableIsRunnable) {
   EXPECT_NE(k.butterfly_f, nullptr);
   // The scalar table must always be reachable.
   ASSERT_NE(simd::kernels_for(simd::Isa::kScalar), nullptr);
+}
+
+// Auto-detection prefers AVX2, then NEON, then scalar: the widest target
+// that is compiled in and runnable on this CPU.
+TEST(Simd, AutoDetectPicksWidestRunnable) {
+  if (std::getenv("AQUA_SIMD") != nullptr) {
+    GTEST_SKIP() << "AQUA_SIMD overrides auto-detection";
+  }
+  const simd::Kernels* want = simd::kernels_for(simd::Isa::kAvx2);
+  if (want == nullptr) want = simd::kernels_for(simd::Isa::kNeon);
+  if (want == nullptr) want = simd::kernels_for(simd::Isa::kScalar);
+  EXPECT_EQ(&simd::active(), want) << "active target: "
+                                   << simd::active().name;
 }
 
 TEST(Simd, DotBitIdenticalAcrossTargetsAndCorrect) {
