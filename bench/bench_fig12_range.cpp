@@ -62,6 +62,7 @@ int main() {
   std::printf("\n=== Fig. 12d: long-range FSK BER at the beach ===\n");
   std::printf("%8s %12s %12s %12s\n", "range(m)", "5 bps", "10 bps", "20 bps");
   const int fsk_bits = 40 + 4 * bench::packets_per_config(10);
+  dsp::Workspace ws;
   for (double r : {40.0, 70.0, 100.0, 113.0}) {
     std::printf("%8.0f", r);
     for (double dur : {0.2, 0.1, 0.05}) {
@@ -76,7 +77,8 @@ int main() {
       phy::FskBeacon beacon(fp);
       std::vector<std::uint8_t> bits(static_cast<std::size_t>(fsk_bits));
       for (auto& b : bits) b = static_cast<std::uint8_t>(rng() & 1);
-      const std::vector<double> rx = ch.transmit(beacon.modulate(bits), 0.0, 0.05);
+      const std::vector<double> rx =
+          ch.transmit(beacon.modulate(bits), ws, 0.0, 0.05);
       // Known coarse alignment (bulk delay + filter delays), refined over a
       // small search like a real receiver locking to the sync pattern.
       const std::size_t base =

@@ -103,12 +103,13 @@ int main() {
   lc.range_m = 5.0;
   lc.seed = 55;
   channel::UnderwaterChannel ch(lc);
+  dsp::Workspace ws;
   std::vector<double> timeline = ch.ambient(2 * 48000);
   {
     std::vector<double> wave = preamble.waveform();
     const std::vector<double> id = codec.encode_tone(32);
     wave.insert(wave.end(), id.begin(), id.end());
-    const std::vector<double> rx = ch.transmit(wave, 0.05, 0.5);
+    const std::vector<double> rx = ch.transmit(wave, ws, 0.05, 0.5);
     timeline.insert(timeline.end(), rx.begin(), rx.end());
   }
   {
@@ -119,7 +120,6 @@ int main() {
   std::printf("timeline: %.1f s of audio, pushed in %zu-sample blocks\n\n",
               audio_s, kPush);
 
-  dsp::Workspace ws;
   std::printf("%-26s %10s %12s %10s %s\n", "front end", "wall [s]",
               "ns/sample", "xrealtime", "detections");
 

@@ -25,7 +25,8 @@ int main() {
   for (std::size_t i = 0; i < tone.size(); ++i) {
     tone[i] = 0.2 * std::sin(2.0 * 3.14159265 * 2500.0 * i / 48000.0);
   }
-  const std::vector<double> rx = ch.transmit(tone, 0.2, 0.2);
+  dsp::Workspace ws;
+  const std::vector<double> rx = ch.transmit(tone, ws, 0.2, 0.2);
   int interval = 0;
   for (double level : cs.feed(rx)) {
     std::printf("t=%4.0f ms  level %.3g  %s\n", interval * 80.0, level,

@@ -148,10 +148,10 @@ std::vector<double> UnderwaterChannel::device_fir(bool speaker) const {
 }
 
 std::vector<double> UnderwaterChannel::transmit(std::span<const double> tx,
+                                                dsp::Workspace& ws,
                                                 double lead_in_s,
                                                 double tail_s) {
   const double fs = config_.sample_rate_hz;
-  dsp::Workspace& ws = scratch();
 
   // 1. Speaker (+ case + static orientation) response, through the cached
   // overlap-save kernel spectrum.

@@ -54,8 +54,9 @@ class UnderwaterChannel {
   /// Passes `tx` through the link. The output contains `lead_in_s` seconds
   /// of ambient noise, then the (delayed, distorted) signal, then
   /// `tail_s` seconds of trailing noise. The bulk propagation delay of the
-  /// earliest arrival is included in the output timeline.
-  std::vector<double> transmit(std::span<const double> tx,
+  /// earliest arrival is included in the output timeline. Filter scratch
+  /// leases from `ws`, as in Stream::push.
+  std::vector<double> transmit(std::span<const double> tx, dsp::Workspace& ws,
                                double lead_in_s = 0.05, double tail_s = 0.05);
 
   /// Ambient noise only (carrier sensing, noise characterization).
@@ -81,11 +82,6 @@ class UnderwaterChannel {
 
   /// Current link time (seconds since construction).
   double time_s() const { return time_s_; }
-
-  /// Leases transmit() scratch from `ws` instead of the calling thread's
-  /// arena (pass nullptr to revert). The caller keeps ownership; `ws` must
-  /// outlive the channel or the next use_workspace() call.
-  void use_workspace(dsp::Workspace* ws) { ws_ = ws; }
 
   /// Streaming signal path through this link: push speaker blocks of any
   /// size and receive exactly as many microphone samples per push, on one
@@ -155,9 +151,6 @@ class UnderwaterChannel {
                              std::mt19937_64& rng) const;
   std::vector<Path> paths_at(double t_s, std::uint64_t block_index);
   std::vector<double> device_fir(bool speaker) const;
-  dsp::Workspace& scratch() const {
-    return ws_ ? *ws_ : dsp::thread_local_workspace();
-  }
 
   LinkConfig config_;
   MobilityModel mobility_;
@@ -171,7 +164,6 @@ class UnderwaterChannel {
   double reference_delay_s_ = 0.0;  ///< shared tap-delay origin
   double time_s_ = 0.0;             ///< link clock (advances per transmit)
   std::mt19937_64 roughness_rng_;
-  dsp::Workspace* ws_ = nullptr;    ///< borrowed; nullptr = thread-local
 };
 
 /// Builds the reverse-direction config (swaps devices/depths and accounts

@@ -35,7 +35,9 @@ SosBeaconService::SosBeaconService(double bitrate_bps, double sample_rate_hz)
 std::optional<std::uint8_t> SosBeaconService::send_and_receive(
     channel::UnderwaterChannel& ch, std::uint8_t diver_id) const {
   const std::vector<double> tx = beacon_.encode_sos(diver_id);
-  const std::vector<double> rx = ch.transmit(tx, 0.2, 0.2);
+  // One beacon per call, so a call-local arena is enough.
+  dsp::Workspace ws;
+  const std::vector<double> rx = ch.transmit(tx, ws, 0.2, 0.2);
   return beacon_.decode_sos(rx);
 }
 

@@ -6,8 +6,9 @@
 
 namespace aqua::core {
 
-LinkSession::LinkSession(const SessionConfig& config)
+LinkSession::LinkSession(const SessionConfig& config, dsp::Workspace& ws)
     : config_(config),
+      ws_(ws),
       forward_(config.forward),
       backward_(channel::reverse_link(config.forward)),
       preamble_(config.params),
@@ -15,22 +16,15 @@ LinkSession::LinkSession(const SessionConfig& config)
       modem_(config.params),
       ofdm_(config.params) {}
 
-LinkSession::LinkSession(const SessionConfig& config, dsp::Workspace& ws)
-    : LinkSession(config) {
-  ws_ = &ws;
-  forward_.use_workspace(&ws);
-  backward_.use_workspace(&ws);
-}
-
 std::vector<double> LinkSession::probe_snr() {
   const std::vector<double>& wave = preamble_.waveform();
-  std::vector<double> rx = forward_.transmit(wave);
-  auto det = preamble_.detect(rx, scratch());
+  std::vector<double> rx = forward_.transmit(wave, ws_);
+  auto det = preamble_.detect(rx, ws_);
   if (!det) return {};
   if (det->start_index + preamble_.core_samples() > rx.size()) return {};
   phy::ChannelEstimate est = phy::estimate_channel(
       ofdm_, std::span<const double>(rx).subspan(det->start_index),
-      preamble_.cazac_bins(), scratch());
+      preamble_.cazac_bins(), ws_);
   return est.snr_db;
 }
 
@@ -45,11 +39,11 @@ PacketTrace LinkSession::send_packet_oracle(
     std::vector<double> id_sym = feedback_.encode_tone(config_.bob_id);
     phase1.insert(phase1.end(), id_sym.begin(), id_sym.end());
   }
-  std::vector<double> rx1 = forward_.transmit(phase1);
+  std::vector<double> rx1 = forward_.transmit(phase1, ws_);
   trace.samples_processed += rx1.size();
 
   // ---- Phase 2: Bob detects the preamble and checks the ID. ----
-  auto det = preamble_.detect(rx1, scratch());
+  auto det = preamble_.detect(rx1, ws_);
   if (!det) return trace;
   trace.preamble_detected = true;
   trace.preamble_metric = det->sliding_metric;
@@ -62,7 +56,7 @@ PacketTrace LinkSession::send_packet_oracle(
   {
     auto id = feedback_.decode_tone(
         std::span<const double>(rx1).subspan(preamble_end), /*step=*/8,
-        /*min_peak_fraction=*/0.3, scratch());
+        /*min_peak_fraction=*/0.3, ws_);
     if (!id || id->bin != config_.bob_id) return trace;
     trace.id_matched = true;
   }
@@ -70,7 +64,7 @@ PacketTrace LinkSession::send_packet_oracle(
   // ---- Phase 3: Bob estimates SNR and runs Algorithm 1. ----
   phy::ChannelEstimate est = phy::estimate_channel(
       ofdm_, std::span<const double>(rx1).subspan(det->start_index),
-      preamble_.cazac_bins(), scratch());
+      preamble_.cazac_bins(), ws_);
   trace.snr_db = est.snr_db;
   trace.band_selected =
       config_.fixed_band
@@ -86,10 +80,10 @@ PacketTrace LinkSession::send_packet_oracle(
     trace.feedback_exact = true;
   } else {
     std::vector<double> fb = feedback_.encode_band(trace.band_selected);
-    std::vector<double> rx2 = backward_.transmit(fb);
+    std::vector<double> rx2 = backward_.transmit(fb, ws_);
     trace.samples_processed += rx2.size();
     auto dec = feedback_.decode_band(rx2, /*step=*/8,
-                                     /*min_peak_fraction=*/0.3, scratch());
+                                     /*min_peak_fraction=*/0.3, ws_);
     if (!dec) return trace;
     trace.feedback_decoded = true;
     trace.band_used = dec->band;
@@ -106,7 +100,7 @@ PacketTrace LinkSession::send_packet_oracle(
   // costs a packet, exactly as in the real protocol.
   std::vector<double> data =
       modem_.encode(info_bits, trace.band_used, config_.decode.use_differential);
-  std::vector<double> rx3 = forward_.transmit(data);
+  std::vector<double> rx3 = forward_.transmit(data, ws_);
   trace.samples_processed += rx3.size();
 
   phy::DecodeOptions opts = config_.decode;
@@ -117,7 +111,7 @@ PacketTrace LinkSession::send_packet_oracle(
   opts.search_window = rx3.size() > region ? rx3.size() - region : 0;
   phy::DataDecodeResult res =
       modem_.decode(rx3, trace.band_selected, info_bits.size(), opts,
-                    scratch());
+                    ws_);
   if (!res.found) return trace;
   trace.data_found = true;
   trace.coded_bits = res.coded_hard.size();
@@ -140,10 +134,10 @@ PacketTrace LinkSession::send_packet_oracle(
   // ---- Phase 6: Bob ACKs a correct packet on the 1 kHz bin. ----
   if (config_.send_ack && trace.packet_ok) {
     std::vector<double> ack = feedback_.encode_tone(phy::FeedbackCodec::kAckBin);
-    std::vector<double> rx4 = backward_.transmit(ack);
+    std::vector<double> rx4 = backward_.transmit(ack, ws_);
     trace.samples_processed += rx4.size();
     auto got = feedback_.decode_tone(rx4, /*step=*/8,
-                                     /*min_peak_fraction=*/0.3, scratch());
+                                     /*min_peak_fraction=*/0.3, ws_);
     trace.ack_received = got && got->bin == phy::FeedbackCodec::kAckBin;
   }
   return trace;
@@ -183,13 +177,8 @@ void LinkSession::ensure_duplex() {
   alice_cfg.my_id = config_.alice_id;
   ModemConfig bob_cfg = mc;
   bob_cfg.my_id = config_.bob_id;
-  if (ws_) {
-    alice_ = std::make_unique<Modem>(alice_cfg, *ws_);  // lint: alloc-ok(session construction, before any streaming)
-    bob_ = std::make_unique<Modem>(bob_cfg, *ws_);  // lint: alloc-ok(session construction, before any streaming)
-  } else {
-    alice_ = std::make_unique<Modem>(alice_cfg);  // lint: alloc-ok(session construction, before any streaming)
-    bob_ = std::make_unique<Modem>(bob_cfg);  // lint: alloc-ok(session construction, before any streaming)
-  }
+  alice_ = std::make_unique<Modem>(alice_cfg, ws_);  // lint: alloc-ok(session construction, before any streaming)
+  bob_ = std::make_unique<Modem>(bob_cfg, ws_);  // lint: alloc-ok(session construction, before any streaming)
   if (sink_) {
     medium_->set_trace_sink(sink_);
     alice_->set_trace_sink(sink_, 0);
@@ -233,11 +222,10 @@ PacketTrace LinkSession::send_packet(std::span<const std::uint8_t> info_bits) {
   // lint: alloc-ok(default-constructed; holds the exchange's rare protocol events)
   std::vector<ModemEvent> ev;
   bool alice_done = false;
-  dsp::Workspace& ws = scratch();
   while (medium_->clock() < cap) {
     alice_->pull_tx(std::span<double>(tx_a));
     bob_->pull_tx(std::span<double>(tx_b));
-    medium_->step(tx_spans, rx, ws);
+    medium_->step(tx_spans, rx, ws_);
     trace.samples_processed += 2 * block;
 
     ev = alice_->push(rx[0]);

@@ -97,12 +97,13 @@ struct PacketTrace {
 /// Runs the protocol over a forward/backward channel pair.
 class LinkSession {
  public:
-  explicit LinkSession(const SessionConfig& config);
-
-  /// As above, but all DSP scratch (channels, detection, decode) leases
+  /// All DSP scratch (channels, detection, decode, both endpoints) leases
   /// from `ws`, which must outlive the session. A sweep worker passes its
-  /// own arena so back-to-back sessions reuse the same buffers.
-  LinkSession(const SessionConfig& config, dsp::Workspace& ws);
+  /// own arena so back-to-back sessions reuse the same buffers. The default
+  /// binds the constructing thread's arena, so such a session must stay on
+  /// that thread.
+  explicit LinkSession(const SessionConfig& config,
+                       dsp::Workspace& ws = dsp::thread_local_workspace());
 
   /// Executes one full packet exchange carrying `info_bits` (0/1 values)
   /// over the streaming duplex pipeline: two Modems on one AcousticMedium,
@@ -134,13 +135,10 @@ class LinkSession {
   void set_metrics(obs::Registry* metrics);
 
  private:
-  dsp::Workspace& scratch() const {
-    return ws_ ? *ws_ : dsp::thread_local_workspace();  // lint: alloc-ok(fallback arena when the owner injected none)
-  }
   void ensure_duplex();
 
   SessionConfig config_;
-  dsp::Workspace* ws_ = nullptr;  ///< borrowed; nullptr = thread-local
+  dsp::Workspace& ws_;                ///< borrowed DSP scratch arena
   obs::TraceSink* sink_ = nullptr;    ///< borrowed; forwarded on build
   obs::Registry* metrics_ = nullptr;  ///< borrowed; forwarded on build
   channel::UnderwaterChannel forward_;

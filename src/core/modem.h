@@ -126,11 +126,13 @@ struct ModemConfig {
 /// Duplex streaming protocol endpoint (either side of Fig. 5).
 class Modem {
  public:
-  explicit Modem(const ModemConfig& config);
   /// All DSP scratch — detection, tone/band decodes, the data decode —
-  /// leases from `ws`, which must outlive the modem. Sweep workers pass
-  /// their per-thread arenas; back-to-back packets reuse the same buffers.
-  Modem(const ModemConfig& config, dsp::Workspace& ws);
+  /// leases from `ws`, which must outlive the modem. Sweep workers and
+  /// medium shards pass their own arenas; back-to-back packets reuse the
+  /// same buffers. The default binds the constructing thread's arena, so
+  /// such a modem must stay on that thread.
+  explicit Modem(const ModemConfig& config,
+                 dsp::Workspace& ws = dsp::thread_local_workspace());
 
   /// Feeds a block of microphone samples (any size, zero included) and
   /// returns the events it triggered.
@@ -185,9 +187,6 @@ class Modem {
     std::uint8_t dest_id = 0;
   };
 
-  dsp::Workspace& scratch() const {
-    return ws_ ? *ws_ : dsp::thread_local_workspace();  // lint: alloc-ok(fallback arena when the owner injected none)
-  }
   std::span<const double> raw(std::uint64_t from, std::size_t len) const;
   /// Same window as raw(), narrowed into the front-end sample type (the
   /// sanctioned mic-boundary conversion).
@@ -206,7 +205,7 @@ class Modem {
   void trim_buffer();
 
   ModemConfig config_;
-  dsp::Workspace* ws_ = nullptr;  ///< borrowed; nullptr = thread-local
+  dsp::Workspace& ws_;               ///< borrowed DSP scratch arena
   obs::TraceSink* sink_ = nullptr;   ///< borrowed capture hook; may be null
   int sink_endpoint_ = 0;            ///< this modem's id within the trace
   obs::Registry* metrics_ = nullptr; ///< borrowed stage-timer registry

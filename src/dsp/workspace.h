@@ -14,12 +14,18 @@
 // the sample type leases without branching; ScratchReal/ScratchCplx/
 // ScratchU32 are aliases kept for the existing double call sites.
 //
-// Threading contract: a Workspace is single-threaded state. Each SweepRunner
-// worker owns one; code that only has the legacy allocating APIs available
-// goes through thread_local_workspace(), which is one arena per thread.
+// Threading contract: a Workspace is single-threaded state, and there is one
+// ownership rule. Each long-lived owner (core::Modem, core::LinkSession)
+// binds exactly one arena by reference when it is built, and every function
+// below it takes a Workspace& — there is no nullable arena and no arena-less
+// decode overload. SweepRunner workers and ShardPool shards each own one
+// arena and hand it down. thread_local_workspace() is one arena per thread;
+// it serves only as the owners' default constructor argument and inside the
+// one-shot helpers that build a freshly allocated vector (fft, convolve,
+// Ofdm::modulate, DataModem::encode and its training-template cache).
 // Buffer contents are always fully overwritten by the primitive that leases
-// them, so results never depend on what a previous lease left behind —
-// that is what keeps sweep output bit-identical for any thread count.
+// them, so results never depend on what a previous lease left behind — that
+// is what keeps sweep output bit-identical for any thread count.
 #pragma once
 
 #include <cstddef>
@@ -34,7 +40,7 @@
 namespace aqua::dsp {
 
 /// Pool of reusable scratch vectors (double, float, cplx, cplxf, uint32).
-/// Lease via Scratch<V> below (RAII), or acquire/release directly for
+/// Lease via Scratch<V> below (RAII), or acquire<V>/release<V> directly for
 /// members.
 class Workspace {
  public:
@@ -55,19 +61,6 @@ class Workspace {
   template <typename V>
   void release(std::vector<V>&& buf) {
     pool<V>().push_back(std::move(buf));
-  }
-
-  /// Named wrappers kept for the existing double-precision call sites.
-  std::vector<double> acquire_real(std::size_t n) { return acquire<double>(n); }
-  std::vector<cplx> acquire_cplx(std::size_t n) { return acquire<cplx>(n); }
-  /// Integer variant (SIMD index lanes, e.g. sliding-DFT phases).
-  std::vector<std::uint32_t> acquire_u32(std::size_t n) {
-    return acquire<std::uint32_t>(n);
-  }
-  void release_real(std::vector<double>&& buf) { release(std::move(buf)); }
-  void release_cplx(std::vector<cplx>&& buf) { release(std::move(buf)); }
-  void release_u32(std::vector<std::uint32_t>&& buf) {
-    release(std::move(buf));
   }
 
   /// Pool sizes (buffers currently at rest) — used by tests.
@@ -113,11 +106,8 @@ class Workspace {
 template <typename V>
 class Scratch {
  public:
-  Scratch(Workspace& ws, std::size_t n)
-      : ws_(&ws), buf_(ws.acquire<V>(n)) {}
-  ~Scratch() {
-    if (ws_) ws_->release(std::move(buf_));
-  }
+  Scratch(Workspace& ws, std::size_t n) : ws_(ws), buf_(ws.acquire<V>(n)) {}
+  ~Scratch() { ws_.release(std::move(buf_)); }
   Scratch(const Scratch&) = delete;
   Scratch& operator=(const Scratch&) = delete;
 
@@ -126,7 +116,7 @@ class Scratch {
   std::span<V> span() { return buf_; }
 
  private:
-  Workspace* ws_;
+  Workspace& ws_;
   std::vector<V> buf_;
 };
 
@@ -137,8 +127,9 @@ using ScratchU32 = Scratch<std::uint32_t>;
 using ScratchRealF = Scratch<float>;
 using ScratchCplxF = Scratch<cplxf>;
 
-/// One arena per thread, used by the legacy allocating wrappers so existing
-/// call sites get buffer reuse without an API change.
+/// One arena per thread: the default arena of core::Modem and
+/// core::LinkSession, and the scratch of the one-shot helpers that return a
+/// freshly allocated vector (fft, convolve, Ofdm::modulate, ...).
 Workspace& thread_local_workspace();
 
 }  // namespace aqua::dsp

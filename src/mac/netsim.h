@@ -20,7 +20,6 @@
 
 #include "channel/medium.h"
 #include "core/modem.h"
-#include "dsp/workspace.h"
 
 namespace aqua::mac {
 
@@ -115,12 +114,11 @@ struct ModemNetworkConfig {
 
 class ModemNetwork {
  public:
-  /// When `ws` is non-null every node's DSP (scanners, tone/band/data
-  /// decodes) and the medium's streaming chains lease scratch from it —
-  /// the same per-worker-arena pattern LinkSession uses. It must outlive
-  /// the network; nullptr falls back to the calling thread's arena.
-  explicit ModemNetwork(const ModemNetworkConfig& config,
-                        dsp::Workspace* ws = nullptr);
+  /// Node i's DSP (scanners, tone/band/data decodes) leases scratch from
+  /// the medium pool's arena for shard i % workers, and the medium's
+  /// streaming chains from worker 0's — one arena per shard thread at
+  /// every worker count.
+  explicit ModemNetwork(const ModemNetworkConfig& config);
 
   int nodes() const { return static_cast<int>(modems_.size()); }
   core::Modem& node(int i) { return *modems_[static_cast<std::size_t>(i)]; }
@@ -156,7 +154,6 @@ class ModemNetwork {
 
  private:
   ModemNetworkConfig config_;
-  dsp::Workspace* ws_ = nullptr;  ///< borrowed; nullptr = thread-local
   std::unique_ptr<channel::AcousticMedium> medium_;
   std::vector<std::unique_ptr<core::Modem>> modems_;
   std::vector<std::pair<double, double>> positions_;

@@ -349,6 +349,10 @@ TraceRecord parse_record(TraceRecord::Kind kind, Cursor& in) {
     case TraceRecord::Kind::kPull:
       r.endpoint = in.i32("pull.endpoint");
       r.count = in.u64("pull.count");
+      if (r.count > kMaxPullSamples) {
+        in.fail("pull count " + std::to_string(r.count) + " exceeds the " +
+                std::to_string(kMaxPullSamples) + "-sample bound");
+      }
       r.has_samples = in.u8("pull.has_samples") != 0;
       if (r.has_samples) {
         r.decimation = in.u32("pull.decimation");

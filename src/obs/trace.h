@@ -39,6 +39,13 @@ namespace aqua::obs {
 /// Bump on any layout change; readers reject versions they don't know.
 inline constexpr std::uint32_t kAqtVersion = 1;
 
+/// Largest pull count a reader accepts (2^24 samples, ~350 s at 48 kHz).
+/// Replay hands the count to Modem::pull_tx, which allocates that many
+/// samples, so an unchecked count from a hostile file could exhaust memory.
+/// Real captures pull at most a few seconds per call (the committed corpus
+/// peaks at 180,151 samples).
+inline constexpr std::uint64_t kMaxPullSamples = std::uint64_t{1} << 24;
+
 /// One record of the append-only log. Which fields are meaningful depends
 /// on `kind`; unused fields stay at their defaults (and serialize to
 /// nothing).

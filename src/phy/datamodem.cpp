@@ -146,27 +146,11 @@ std::vector<double> DataModem::training_waveform(
 DataDecodeResult DataModem::decode(std::span<const double> signal,
                                    const BandSelection& band,
                                    std::size_t info_bits,
-                                   const DecodeOptions& options) const {
-  return decode(signal, band, info_bits, options,
-                dsp::thread_local_workspace());  // lint: alloc-ok(no-arena convenience overload)
-}
-
-DataDecodeResult DataModem::decode(std::span<const double> signal,
-                                   const BandSelection& band,
-                                   std::size_t info_bits,
                                    const DecodeOptions& options,
                                    dsp::Workspace& ws) const {
   const std::size_t coded = coding::coded_length(info_bits, codec_.rate());
   return decode_impl(signal, band, coded, /*run_viterbi=*/true, info_bits,
                      options, ws);
-}
-
-DataDecodeResult DataModem::decode_coded(std::span<const double> signal,
-                                         const BandSelection& band,
-                                         std::size_t coded_bits,
-                                         const DecodeOptions& options) const {
-  return decode_coded(signal, band, coded_bits, options,
-                      dsp::thread_local_workspace());
 }
 
 DataDecodeResult DataModem::decode_coded(std::span<const double> signal,

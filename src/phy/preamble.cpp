@@ -94,12 +94,6 @@ double Preamble::sliding_metric_at(std::span<const double> signal,
 }
 
 std::optional<PreambleDetection> Preamble::detect(
-    std::span<const double> raw_signal) const {
-  // lint: alloc-ok(no-arena convenience overload; resolves the per-thread workspace once per call)
-  return detect(raw_signal, dsp::thread_local_workspace());
-}
-
-std::optional<PreambleDetection> Preamble::detect(
     std::span<const double> raw_signal, dsp::Workspace& ws) const {
   const std::size_t n = params_.symbol_samples();
   if (raw_signal.size() < core_samples_) return std::nullopt;

@@ -53,10 +53,9 @@ class Preamble {
   /// receive bandpass (1-4 kHz) before both detection stages so sub-kHz
   /// ambient noise cannot drown the normalization. Returns the confirmed
   /// detection with the highest sliding metric, or nullopt. Scratch comes
-  /// from `ws`; the 1-argument form uses the calling thread's arena.
+  /// from `ws`.
   std::optional<PreambleDetection> detect(std::span<const double> signal,
                                           dsp::Workspace& ws) const;
-  std::optional<PreambleDetection> detect(std::span<const double> signal) const;
 
   /// Normalized sliding segment-correlation metric for a window starting at
   /// `start` (exposed for tests and the Fig.-ablation bench).

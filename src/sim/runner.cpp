@@ -77,17 +77,6 @@ void SweepRunner::parallel_for(
   if (first_error) std::rethrow_exception(first_error);
 }
 
-void SweepRunner::parallel_for(
-    std::size_t n, const std::function<void(std::size_t, std::mt19937_64&)>& fn,
-    std::uint64_t seed_base) const {
-  parallel_for(
-      n,
-      [&fn](std::size_t i, std::mt19937_64& rng, dsp::Workspace&) {
-        fn(i, rng);
-      },
-      seed_base);
-}
-
 std::vector<ScenarioResult> SweepRunner::run(const std::vector<Scenario>& grid,
                                              int packets,
                                              std::uint64_t seed_base,
@@ -122,7 +111,7 @@ std::vector<ScenarioResult> SweepRunner::run(const std::vector<Scenario>& grid,
                                capture_->packet < c.end;
         if (!capturing) {
           partial[i] = run_packet_range(configs[c.scenario], c.begin, c.end,
-                                        chunk_seed, payload_bits, &ws);
+                                        chunk_seed, payload_bits, ws);
           return;
         }
         obs::TraceCapture capture;
@@ -134,7 +123,7 @@ std::vector<ScenarioResult> SweepRunner::run(const std::vector<Scenario>& grid,
         hooks.sink = &capture;
         hooks.sink_packet = capture_->packet;
         partial[i] = run_packet_range(configs[c.scenario], c.begin, c.end,
-                                      chunk_seed, payload_bits, &ws, hooks);
+                                      chunk_seed, payload_bits, ws, hooks);
         capture.save(capture_->path);
       },
       seed_base);

@@ -77,12 +77,6 @@ class SweepRunner {
                                dsp::Workspace&)>& fn,
       std::uint64_t seed_base = 0) const;
 
-  /// Convenience overload for items that need no DSP scratch.
-  void parallel_for(
-      std::size_t n,
-      const std::function<void(std::size_t, std::mt19937_64&)>& fn,
-      std::uint64_t seed_base = 0) const;
-
   /// Runs `packets` packets for every scenario in `grid`, chunked across
   /// the pool. Scenario k uses seed_base + k * 7919 for its packet batch.
   /// Aggregate stats are bit-identical for any thread count.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <optional>
 #include <random>
 
 namespace aqua::sim {
@@ -98,31 +97,24 @@ core::SessionConfig session_config(const Scenario& s) {
 
 BatchStats run_packet_range(const core::SessionConfig& base, int begin,
                             int end, std::uint64_t seed_base,
-                            std::size_t payload_bits, dsp::Workspace* ws,
+                            std::size_t payload_bits, dsp::Workspace& ws,
                             const PacketHooks& hooks) {
   BatchStats stats;
   for (int i = begin; i < end; ++i) {
     core::SessionConfig cfg = base;
     cfg.forward.seed = seed_base + static_cast<std::uint64_t>(i) * 131;
-    // Constructed in place: the modem's template cache makes sessions
-    // non-movable (mutex member).
-    std::optional<core::LinkSession> session;
-    if (ws) {
-      session.emplace(cfg, *ws);
-    } else {
-      session.emplace(cfg);
-    }
+    core::LinkSession session(cfg, ws);
     if (hooks.sink && i == hooks.sink_packet) {
-      session->set_trace_sink(hooks.sink);
+      session.set_trace_sink(hooks.sink);
     }
-    session->set_metrics(&stats.pipeline);
+    session.set_metrics(&stats.pipeline);
     // Payload derived from the packet index alone (splitmix-style stir) so
     // chunk boundaries cannot change what packet i carries.
     std::mt19937_64 rng(seed_base * 77 + 5 +
                         static_cast<std::uint64_t>(i) * 0x9e3779b97f4a7c15ULL);
     std::vector<std::uint8_t> bits(payload_bits);
     for (auto& b : bits) b = static_cast<std::uint8_t>(rng() & 1);
-    const core::PacketTrace t = session->send_packet(bits);
+    const core::PacketTrace t = session.send_packet(bits);
     stats.sent++;
     if (t.preamble_detected) stats.preamble_detected++;
     if (t.feedback_decoded) stats.feedback_ok++;

@@ -275,7 +275,8 @@ TEST(UnderwaterChannel, SignalArrivesAfterBulkDelay) {
   EXPECT_NEAR(ch.bulk_delay_s(), 15.0 / kSoundSpeedWater, 0.0025);
   std::vector<double> pulse(200, 0.0);
   pulse[0] = 1.0;
-  const std::vector<double> rx = ch.transmit(pulse, 0.01, 0.01);
+  dsp::Workspace ws;
+  const std::vector<double> rx = ch.transmit(pulse, ws, 0.01, 0.01);
   // Nothing before lead-in + bulk delay (minus margin).
   const std::size_t first_possible =
       static_cast<std::size_t>((0.01 + ch.bulk_delay_s()) * 48000.0);
@@ -357,8 +358,9 @@ TEST(UnderwaterChannel, MobilityMakesOutputTimeVarying) {
     }
     return var / (mean * mean * static_cast<double>(hi - lo));
   };
-  const double mv = envelope_var(moving.transmit(x));
-  const double sv = envelope_var(still.transmit(x));
+  dsp::Workspace ws;
+  const double mv = envelope_var(moving.transmit(x, ws));
+  const double sv = envelope_var(still.transmit(x, ws));
   EXPECT_GT(mv, 5.0 * sv);
 }
 
@@ -367,7 +369,8 @@ TEST(UnderwaterChannel, EmptyTransmitYieldsNoiseOnlyTimeline) {
   // timeline (useful for probing the channel), not throw.
   LinkConfig lc;
   UnderwaterChannel ch(lc);
-  const std::vector<double> rx = ch.transmit({}, 0.01, 0.01);
+  dsp::Workspace ws;
+  const std::vector<double> rx = ch.transmit({}, ws, 0.01, 0.01);
   EXPECT_GE(rx.size(), static_cast<std::size_t>(0.02 * 48000.0));
   EXPECT_GT(dsp::energy(rx), 0.0);  // ambient noise is on by default
 }

@@ -5,6 +5,7 @@
 #include <random>
 
 #include "channel/channel.h"
+#include "dsp/workspace.h"
 #include "phy/datamodem.h"
 #include "phy/fsk.h"
 
@@ -25,6 +26,7 @@ TEST_P(DataModemBandTest, CleanRoundTripInAnyBand) {
   const auto [b, e] = GetParam();
   const OfdmParams p;
   DataModem dm(p);
+  dsp::Workspace ws;
   BandSelection band{b, e, false};
   const std::vector<std::uint8_t> info = random_bits(16, b * 7 + e);
   std::vector<double> wave = dm.encode(info, band);
@@ -34,7 +36,7 @@ TEST_P(DataModemBandTest, CleanRoundTripInAnyBand) {
   signal.resize(signal.size() + 3000, 0.0);
   DecodeOptions opts;
   opts.search_window = 6000;
-  DataDecodeResult res = dm.decode(signal, band, 16, opts);
+  DataDecodeResult res = dm.decode(signal, band, 16, opts, ws);
   ASSERT_TRUE(res.found);
   // Narrowband correlation mainlobes limit timing precision; the equalizer
   // absorbs the residual offset.
@@ -53,6 +55,7 @@ INSTANTIATE_TEST_SUITE_P(Bands, DataModemBandTest,
 TEST(DataModem, LongPayloadRoundTrips) {
   const OfdmParams p;
   DataModem dm(p);
+  dsp::Workspace ws;
   BandSelection band{8, 43, false};
   const std::vector<std::uint8_t> info = random_bits(256, 77);
   std::vector<double> wave = dm.encode(info, band);
@@ -61,7 +64,7 @@ TEST(DataModem, LongPayloadRoundTrips) {
   signal.resize(signal.size() + 1000, 0.0);
   DecodeOptions opts;
   opts.search_window = 2000;
-  DataDecodeResult res = dm.decode(signal, band, 256, opts);
+  DataDecodeResult res = dm.decode(signal, band, 256, opts, ws);
   ASSERT_TRUE(res.found);
   EXPECT_EQ(res.info_bits, info);
 }
@@ -69,6 +72,7 @@ TEST(DataModem, LongPayloadRoundTrips) {
 TEST(DataModem, DecodesThroughARealChannel) {
   const OfdmParams p;
   DataModem dm(p);
+  dsp::Workspace ws;
   BandSelection band{15, 40, false};
   const std::vector<std::uint8_t> info = random_bits(16, 4);
   channel::LinkConfig lc;
@@ -76,10 +80,10 @@ TEST(DataModem, DecodesThroughARealChannel) {
   lc.range_m = 5.0;
   lc.seed = 21;
   channel::UnderwaterChannel ch(lc);
-  const std::vector<double> rx = ch.transmit(dm.encode(info, band));
+  const std::vector<double> rx = ch.transmit(dm.encode(info, band), ws);
   DecodeOptions opts;
   opts.search_window = rx.size() - 4 * p.symbol_total_samples();
-  DataDecodeResult res = dm.decode(rx, band, 16, opts);
+  DataDecodeResult res = dm.decode(rx, band, 16, opts, ws);
   ASSERT_TRUE(res.found);
   EXPECT_EQ(res.info_bits, info);
 }
@@ -88,6 +92,7 @@ TEST(DataModem, DifferentialBeatsCoherentUnderMotion) {
   // Fig. 14c: without differential coding, mobility wrecks the uncoded BER.
   const OfdmParams p;
   DataModem dm(p);
+  dsp::Workspace ws;
   BandSelection band{15, 34, false};
   std::size_t diff_err = 0, coh_err = 0, total = 0;
   for (int trial = 0; trial < 4; ++trial) {
@@ -100,11 +105,11 @@ TEST(DataModem, DifferentialBeatsCoherentUnderMotion) {
       lc.seed = 900 + trial;  // same channel for both variants
       channel::UnderwaterChannel ch(lc);
       const std::vector<double> rx =
-          ch.transmit(dm.encode_coded(coded, band, use_diff));
+          ch.transmit(dm.encode_coded(coded, band, use_diff), ws);
       DecodeOptions opts;
       opts.use_differential = use_diff;
       opts.search_window = rx.size() - 12 * p.symbol_total_samples();
-      DataDecodeResult res = dm.decode_coded(rx, band, coded.size(), opts);
+      DataDecodeResult res = dm.decode_coded(rx, band, coded.size(), opts, ws);
       ASSERT_TRUE(res.found);
       std::size_t err = 0;
       for (std::size_t i = 0; i < coded.size(); ++i) {
@@ -128,6 +133,7 @@ TEST(DataModem, NoiseOnlyInputYieldsGarbageNotCrash) {
   // produce bits that fail the payload comparison at the protocol layer.
   const OfdmParams p;
   DataModem dm(p);
+  dsp::Workspace ws;
   BandSelection band{10, 29, false};
   std::mt19937_64 rng(3);
   std::normal_distribution<double> g(0.0, 0.05);
@@ -135,7 +141,7 @@ TEST(DataModem, NoiseOnlyInputYieldsGarbageNotCrash) {
   for (auto& v : noise) v = g(rng);
   DecodeOptions opts;
   opts.search_window = 10000;
-  DataDecodeResult res = dm.decode(noise, band, 16, opts);
+  DataDecodeResult res = dm.decode(noise, band, 16, opts, ws);
   if (res.found) {
     const std::vector<std::uint8_t> reference = random_bits(16, 999);
     EXPECT_NE(res.info_bits, reference);
@@ -205,10 +211,12 @@ TEST(Fsk, SosSurvivesLongRangeChannel) {
   lc.range_m = 100.0;
   lc.seed = 8;
   channel::UnderwaterChannel ch(lc);
+  dsp::Workspace ws;
   FskParams p;
   p.symbol_duration_s = 0.1;  // 10 bps, the paper's SoS rate
   FskBeacon beacon(p);
-  const std::vector<double> rx = ch.transmit(beacon.encode_sos(42), 0.2, 0.2);
+  const std::vector<double> rx =
+      ch.transmit(beacon.encode_sos(42), ws, 0.2, 0.2);
   auto got = beacon.decode_sos(rx);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, 42);

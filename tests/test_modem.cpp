@@ -55,7 +55,8 @@ std::vector<double> phase1_capture(channel::UnderwaterChannel& ch,
   std::vector<double> wave = preamble.waveform();
   const std::vector<double> id = codec.encode_tone(dest_id);
   wave.insert(wave.end(), id.begin(), id.end());
-  return ch.transmit(wave, 0.05, tail_s);
+  dsp::Workspace ws;
+  return ch.transmit(wave, ws, 0.05, tail_s);
 }
 
 TEST(PreambleScanner, MatchesBatchDetectorOnOneCapture) {
@@ -151,8 +152,9 @@ TEST(Modem, PushGranularityInvariance) {
     const std::vector<double> gap = fwd.ambient(30000);
     timeline.insert(timeline.end(), gap.begin(), gap.end());
     phy::DataModem modem(params);
+    dsp::Workspace ws;
     const std::vector<double> rx3 =
-        fwd.transmit(modem.encode(payload, band), 0.05, 1.0);
+        fwd.transmit(modem.encode(payload, band), ws, 0.05, 1.0);
     timeline.insert(timeline.end(), rx3.begin(), rx3.end());
   }
 
@@ -341,6 +343,21 @@ TEST(ModemNetwork, ThreeNodesOnOneMedium) {
   EXPECT_TRUE(complete);
 }
 
+TEST(ModemNetwork, SingleWorkerNodesLeaseFromTheMediumArena) {
+  // One arena rule: at every worker count node i leases from the medium
+  // pool's arena i % workers, so with one worker the nodes' float receive
+  // front ends leave their recycled buffers in worker 0's arena.
+  mac::ModemNetworkConfig cfg;
+  cfg.nodes = 2;
+  cfg.medium_workers = 1;
+  cfg.seed = 5;
+  mac::ModemNetwork net(cfg);
+  ASSERT_EQ(net.medium().workers(), 1);
+  EXPECT_EQ(net.medium().pool().workspace(0).pooled_realf(), 0u);
+  net.run(0.1);
+  EXPECT_GT(net.medium().pool().workspace(0).pooled_realf(), 0u);
+}
+
 TEST(Modem, SweepAggregatesThreadCountInvariantOnStreamingPath) {
   // run_packet_range feeds the Modem-backed send_packet; chunked execution
   // with per-worker arenas must merge to identical aggregates.
@@ -348,10 +365,15 @@ TEST(Modem, SweepAggregatesThreadCountInvariantOnStreamingPath) {
   base.forward.site = channel::site_preset(channel::Site::kBridge);
   base.forward.range_m = 5.0;
 
-  const sim::BatchStats serial = sim::run_packet_range(base, 0, 4, 4242);
+  // The serial pass leases from an arena a prior run already warmed; the
+  // split passes start from fresh ones.
+  dsp::Workspace warm;
+  sim::run_packet_range(base, 4, 5, 4242, 16, warm);
+  const sim::BatchStats serial =
+      sim::run_packet_range(base, 0, 4, 4242, 16, warm);
   dsp::Workspace w1, w2;
-  sim::BatchStats split = sim::run_packet_range(base, 0, 2, 4242, 16, &w1);
-  split.merge(sim::run_packet_range(base, 2, 4, 4242, 16, &w2));
+  sim::BatchStats split = sim::run_packet_range(base, 0, 2, 4242, 16, w1);
+  split.merge(sim::run_packet_range(base, 2, 4, 4242, 16, w2));
 
   EXPECT_EQ(serial.sent, split.sent);
   EXPECT_EQ(serial.delivered, split.delivered);

@@ -78,7 +78,8 @@ std::vector<double> receiver_timeline(std::uint64_t seed) {
   lc.range_m = 5.0;
   lc.seed = seed;
   channel::UnderwaterChannel fwd(lc);
-  std::vector<double> rx = fwd.transmit(phase1, 0.05, 0.6);
+  dsp::Workspace ws;
+  std::vector<double> rx = fwd.transmit(phase1, ws, 0.05, 0.6);
   quantize(rx);
   return rx;
 }
@@ -210,6 +211,35 @@ TEST(TraceFormat, ErrorsNameTheOffendingOffset) {
   }
 }
 
+TEST(TraceFormat, RejectsPullCountAboveBound) {
+  // Replay hands a pull count straight to Modem::pull_tx, which allocates
+  // that many samples: a hostile count must fail the parse, not the heap.
+  const obs::Trace corpus = obs::read_trace(
+      (std::filesystem::path(AQUA_TRACE_DIR) / "duplex_bridge_exchange.aqt")
+          .string());
+  const auto with_first_pull = [&](std::uint64_t count) {
+    obs::Trace t = corpus;
+    for (obs::TraceRecord& r : t.records) {
+      if (r.kind == obs::TraceRecord::Kind::kPull) {
+        r.count = count;
+        return obs::serialize_trace(t);
+      }
+    }
+    ADD_FAILURE() << "corpus trace has no pull record";
+    return obs::serialize_trace(t);
+  };
+
+  EXPECT_NO_THROW(obs::parse_trace(with_first_pull(obs::kMaxPullSamples)));
+  try {
+    obs::parse_trace(with_first_pull(std::uint64_t{1} << 40));
+    FAIL() << "oversized pull count parsed";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("pull count"), std::string::npos) << what;
+    EXPECT_NE(what.find("byte"), std::string::npos) << what;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Capture -> replay bit-identity.
 // ---------------------------------------------------------------------------
@@ -247,7 +277,8 @@ TEST(Replay, MatchesLiveAcrossPushChunkings) {
     // serialize/parse round trip like the real file-based flow.
     const obs::Trace trace =
         obs::parse_trace(obs::serialize_trace(cap.trace()));
-    const obs::ReplayResult result = obs::replay_trace(trace);
+    dsp::Workspace ws;
+    const obs::ReplayResult result = obs::replay_trace(trace, ws);
     EXPECT_TRUE(result.ok) << "chunk " << chunk << ": " << result.summary();
     ASSERT_EQ(result.endpoints.size(), 1u);
     EXPECT_EQ(result.endpoints[0].recorded_events, live.size());
@@ -257,10 +288,11 @@ TEST(Replay, MatchesLiveAcrossPushChunkings) {
 TEST(Replay, CorpusReplaysBitIdentically) {
   const std::filesystem::path dir(AQUA_TRACE_DIR);
   std::size_t checked = 0;
+  dsp::Workspace ws;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     if (entry.path().extension() != ".aqt") continue;
     const obs::Trace trace = obs::read_trace(entry.path().string());
-    const obs::ReplayResult result = obs::replay_trace(trace);
+    const obs::ReplayResult result = obs::replay_trace(trace, ws);
     EXPECT_TRUE(result.ok) << entry.path() << ": " << result.summary();
     checked++;
   }
@@ -286,7 +318,8 @@ TEST(Replay, DetectsTamperedEvents) {
     }
   }
   ASSERT_TRUE(tampered) << "capture produced no events";
-  const obs::ReplayResult result = obs::replay_trace(trace);
+  dsp::Workspace ws;
+  const obs::ReplayResult result = obs::replay_trace(trace, ws);
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.summary().find("stream_pos"), std::string::npos)
       << result.summary();
@@ -300,7 +333,8 @@ TEST(Replay, RefusesDecimatedCaptures) {
   core::Modem bob(rc);
   bob.set_trace_sink(&cap, 0);
   bob.push(std::vector<double>(4800, 0.0));
-  EXPECT_THROW(obs::replay_trace(cap.trace()), std::runtime_error);
+  dsp::Workspace ws;
+  EXPECT_THROW(obs::replay_trace(cap.trace(), ws), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -435,7 +469,8 @@ TEST(SweepQoE, RunnerCaptureProducesReplayableTrace) {
   EXPECT_EQ(trace.meta("scenario"), scenario_label(scenarios[0]));
   EXPECT_EQ(trace.meta("packet"), "1");
   EXPECT_EQ(trace.endpoints().size(), 2u);  // Alice and Bob
-  const obs::ReplayResult result = obs::replay_trace(trace);
+  dsp::Workspace ws;
+  const obs::ReplayResult result = obs::replay_trace(trace, ws);
   EXPECT_TRUE(result.ok) << result.summary();
 
   // Capturing must not perturb the sweep's deterministic statistics.

@@ -6,6 +6,7 @@
 
 #include "channel/channel.h"
 #include "dsp/fir.h"
+#include "dsp/workspace.h"
 #include "phy/bandselect.h"
 #include "phy/chanest.h"
 #include "phy/equalizer.h"
@@ -93,7 +94,8 @@ TEST(Preamble, DetectsItselfCleanly) {
   const std::vector<double>& w = pre.waveform();
   signal.insert(signal.end(), w.begin(), w.end());
   signal.resize(signal.size() + 5000, 0.0);
-  auto det = pre.detect(signal);
+  dsp::Workspace ws;
+  auto det = pre.detect(signal, ws);
   ASSERT_TRUE(det.has_value());
   // Start of first symbol = 5000 + CP.
   EXPECT_NEAR(static_cast<double>(det->start_index),
@@ -108,7 +110,8 @@ TEST(Preamble, NoFalseAlarmOnNoise) {
   std::normal_distribution<double> g(0.0, 0.1);
   std::vector<double> noise(48000);
   for (auto& v : noise) v = g(rng);
-  EXPECT_FALSE(pre.detect(noise).has_value());
+  dsp::Workspace ws;
+  EXPECT_FALSE(pre.detect(noise, ws).has_value());
 }
 
 TEST(Preamble, NoFalseAlarmOnImpulsiveNoise) {
@@ -127,7 +130,8 @@ TEST(Preamble, NoFalseAlarmOnImpulsiveNoise) {
       noise[at + i] += 2.0 * g(rng) * std::exp(-static_cast<double>(i) / 30.0) * 50.0;
     }
   }
-  EXPECT_FALSE(pre.detect(noise).has_value());
+  dsp::Workspace ws;
+  EXPECT_FALSE(pre.detect(noise, ws).has_value());
 }
 
 TEST(Preamble, SurvivesMultipathAndNoise) {
@@ -138,8 +142,9 @@ TEST(Preamble, SurvivesMultipathAndNoise) {
   channel::UnderwaterChannel ch(lc);
   const OfdmParams p;
   Preamble pre(p);
-  const std::vector<double> rx = ch.transmit(pre.waveform());
-  auto det = pre.detect(rx);
+  dsp::Workspace ws;
+  const std::vector<double> rx = ch.transmit(pre.waveform(), ws);
+  auto det = pre.detect(rx, ws);
   ASSERT_TRUE(det.has_value());
   EXPECT_GT(det->sliding_metric, 0.3);
 }
@@ -165,7 +170,8 @@ TEST(ChannelEstimate, RecoversSnrInAwgn) {
       (static_cast<double>(p.symbol_samples()) * dsp::db_to_power(snr_db));
   std::normal_distribution<double> g(0.0, std::sqrt(noise_power));
   for (auto& v : rx) v += g(rng);
-  ChannelEstimate est = estimate_channel(ofdm, rx, pre.cazac_bins());
+  dsp::Workspace ws;
+  ChannelEstimate est = estimate_channel(ofdm, rx, pre.cazac_bins(), ws);
   ASSERT_EQ(est.snr_db.size(), 60u);
   double avg = 0.0;
   for (double s : est.snr_db) avg += s;
@@ -180,7 +186,8 @@ TEST(ChannelEstimate, FlatChannelGivesFlatH) {
   const std::vector<double>& w = pre.waveform();
   const std::vector<double> rx(
       w.begin() + static_cast<std::ptrdiff_t>(p.cp_samples()), w.end());
-  ChannelEstimate est = estimate_channel(ofdm, rx, pre.cazac_bins());
+  dsp::Workspace ws;
+  ChannelEstimate est = estimate_channel(ofdm, rx, pre.cazac_bins(), ws);
   for (std::size_t k = 0; k < est.h.size(); ++k) {
     EXPECT_NEAR(std::abs(est.h[k]), 1.0, 1e-6) << "bin " << k;
     EXPECT_GT(est.snr_db[k], 60.0);
@@ -259,6 +266,7 @@ INSTANTIATE_TEST_SUITE_P(Lambdas, LambdaSweep,
 TEST(Feedback, RoundTripsCleanly) {
   const OfdmParams p;
   FeedbackCodec fb(p);
+  dsp::Workspace ws;
   for (auto [b, e] : {std::pair<std::size_t, std::size_t>{0, 59},
                       {10, 30},
                       {40, 50},
@@ -269,7 +277,7 @@ TEST(Feedback, RoundTripsCleanly) {
     std::vector<double> signal(3000, 0.0);
     signal.insert(signal.end(), sym.begin(), sym.end());
     signal.resize(signal.size() + 3000, 0.0);
-    auto dec = fb.decode_band(signal, 8);
+    auto dec = fb.decode_band(signal, 8, 0.3, ws);
     ASSERT_TRUE(dec.has_value()) << "band " << b << "-" << e;
     EXPECT_EQ(dec->band.begin_bin, b);
     EXPECT_EQ(dec->band.end_bin, e);
@@ -279,13 +287,14 @@ TEST(Feedback, RoundTripsCleanly) {
 TEST(Feedback, ToneRoundTripsForIdsAndAck) {
   const OfdmParams p;
   FeedbackCodec fb(p);
+  dsp::Workspace ws;
   for (std::size_t bin : {FeedbackCodec::kAckBin, std::size_t{28},
                           std::size_t{59}}) {
     std::vector<double> sym = fb.encode_tone(bin);
     std::vector<double> signal(2500, 0.0);
     signal.insert(signal.end(), sym.begin(), sym.end());
     signal.resize(signal.size() + 2500, 0.0);
-    auto dec = fb.decode_tone(signal, 8);
+    auto dec = fb.decode_tone(signal, 8, 0.3, ws);
     ASSERT_TRUE(dec.has_value());
     EXPECT_EQ(dec->bin, bin);
   }
@@ -296,6 +305,7 @@ TEST(Feedback, SurvivesTheUnknownBackwardChannel) {
   // without any channel knowledge, over a realistic reverse link.
   const OfdmParams p;
   FeedbackCodec fb(p);
+  dsp::Workspace ws;
   int exact = 0;
   const int trials = 10;
   for (int i = 0; i < trials; ++i) {
@@ -305,8 +315,8 @@ TEST(Feedback, SurvivesTheUnknownBackwardChannel) {
     lc.seed = 500 + i;
     channel::UnderwaterChannel ch(channel::reverse_link(lc));
     BandSelection band{12, 34, false};
-    const std::vector<double> rx = ch.transmit(fb.encode_band(band));
-    auto dec = fb.decode_band(rx, 8);
+    const std::vector<double> rx = ch.transmit(fb.encode_band(band), ws);
+    auto dec = fb.decode_band(rx, 8, 0.3, ws);
     if (dec && dec->band.begin_bin == 12 && dec->band.end_bin == 34) ++exact;
   }
   EXPECT_GE(exact, 8) << "feedback should decode almost always at 10 m";
@@ -319,8 +329,9 @@ TEST(Feedback, NothingDetectedInPureNoise) {
   std::normal_distribution<double> g(0.0, 0.05);
   std::vector<double> noise(20000);
   for (auto& v : noise) v = g(rng);
-  EXPECT_FALSE(fb.decode_band(noise, 8).has_value());
-  EXPECT_FALSE(fb.decode_tone(noise, 8).has_value());
+  dsp::Workspace ws;
+  EXPECT_FALSE(fb.decode_band(noise, 8, 0.3, ws).has_value());
+  EXPECT_FALSE(fb.decode_tone(noise, 8, 0.3, ws).has_value());
 }
 
 TEST(Equalizer, ShortensAnIsiChannel) {

@@ -84,7 +84,8 @@ std::vector<double> phase1_capture(channel::UnderwaterChannel& ch,
   std::vector<double> wave = preamble.waveform();
   const std::vector<double> id = codec.encode_tone(dest_id);
   wave.insert(wave.end(), id.begin(), id.end());
-  return ch.transmit(wave, 0.05, 0.6);
+  dsp::Workspace ws;
+  return ch.transmit(wave, ws, 0.05, 0.6);
 }
 
 TEST(PrecisionEquivalence, ScannerMatchesDoubleOnChannelCaptures) {
@@ -235,7 +236,7 @@ TEST(PrecisionEquivalence, ToneAndBandDecodersAgree) {
 
   const std::size_t tone_bin = 17;
   const std::vector<double> tone_rx =
-      ch.transmit(codec.encode_tone(tone_bin), 0.05, 0.1);
+      ch.transmit(codec.encode_tone(tone_bin), ws, 0.05, 0.1);
   const auto tone_d = codec.decode_tone(tone_rx, 16, 0.3, ws);
   const auto tone_f = codec.decode_tone(
       std::span<const float>(narrowed(tone_rx)), 16, 0.3, ws);
@@ -249,7 +250,7 @@ TEST(PrecisionEquivalence, ToneAndBandDecodersAgree) {
   band.begin_bin = 4;
   band.end_bin = 41;
   const std::vector<double> band_rx =
-      ch.transmit(codec.encode_band(band), 0.05, 0.1);
+      ch.transmit(codec.encode_band(band), ws, 0.05, 0.1);
   const auto band_d = codec.decode_band(band_rx, 16, 0.3, ws);
   const auto band_f = codec.decode_band(
       std::span<const float>(narrowed(band_rx)), 16, 0.3, ws);

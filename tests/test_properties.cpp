@@ -128,7 +128,8 @@ TEST_P(ModemWidth, SixteenBitPacketRoundTrips) {
   signal.resize(signal.size() + 1200, 0.0);
   phy::DecodeOptions opts;
   opts.search_window = 2400;
-  const phy::DataDecodeResult res = dm.decode(signal, band, 16, opts);
+  dsp::Workspace ws;
+  const phy::DataDecodeResult res = dm.decode(signal, band, 16, opts, ws);
   ASSERT_TRUE(res.found) << "width " << width;
   EXPECT_EQ(res.info_bits, info) << "width " << width;
 }

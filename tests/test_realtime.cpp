@@ -128,7 +128,8 @@ TEST(Realtime, RetransmitsAfterDroppedFeedback) {
 
   ModemConfig rc;
   rc.my_id = 32;
-  Modem bob(rc);
+  dsp::Workspace ws;
+  Modem bob(rc, ws);
 
   channel::LinkConfig lc;
   lc.site = channel::site_preset(channel::Site::kBridge);
@@ -145,7 +146,7 @@ TEST(Realtime, RetransmitsAfterDroppedFeedback) {
   // Phase 1 lands; Bob answers (the feedback waits on his speaker queue)
   // and stays armed for the data.
   std::vector<ModemEvent> events =
-      push_in_blocks(bob, fwd.transmit(phase1, 0.05, 0.45));
+      push_in_blocks(bob, fwd.transmit(phase1, ws, 0.05, 0.45));
   ASSERT_NE(find(events, ModemEvent::Type::kAddressedToUs), nullptr);
   ASSERT_EQ(bob.rx_state(), Modem::RxState::kAwaitingData);
   EXPECT_GT(bob.tx_pending(), 0u);  // the queued feedback waveform
@@ -168,7 +169,7 @@ TEST(Realtime, RetransmitsAfterDroppedFeedback) {
   ASSERT_EQ(bob.rx_state(), Modem::RxState::kSearching);
 
   // The retransmission must complete end-to-end on the same receiver.
-  events = push_in_blocks(bob, fwd.transmit(phase1, 0.05, 0.45));
+  events = push_in_blocks(bob, fwd.transmit(phase1, ws, 0.05, 0.45));
   const ModemEvent* addressed = find(events, ModemEvent::Type::kAddressedToUs);
   ASSERT_NE(addressed, nullptr);
   bob.pull_tx(bob.tx_pending());
@@ -179,7 +180,8 @@ TEST(Realtime, RetransmitsAfterDroppedFeedback) {
   // The data arrives mid-window (as if Alice decoded the feedback), with
   // enough trailing audio to carry Bob past his decode deadline.
   events = push_in_blocks(
-      bob, fwd.transmit(modem.encode(payload, addressed->band), 0.6, 1.0));
+      bob,
+      fwd.transmit(modem.encode(payload, addressed->band), ws, 0.6, 1.0));
   const ModemEvent* decoded = find(events, ModemEvent::Type::kPacketDecoded);
   ASSERT_NE(decoded, nullptr);
   EXPECT_EQ(decoded->payload_bits, payload);

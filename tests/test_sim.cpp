@@ -81,10 +81,11 @@ TEST(RunPacketRange, ChunksMergeToTheFullBatch) {
   cfg.forward.range_m = 5.0;
   const std::uint64_t seed = 424242;
 
-  const BatchStats whole = run_packet_range(cfg, 0, 4, seed);
-  BatchStats merged = run_packet_range(cfg, 0, 1, seed);
-  merged.merge(run_packet_range(cfg, 1, 3, seed));
-  merged.merge(run_packet_range(cfg, 3, 4, seed));
+  dsp::Workspace ws;
+  const BatchStats whole = run_packet_range(cfg, 0, 4, seed, 16, ws);
+  BatchStats merged = run_packet_range(cfg, 0, 1, seed, 16, ws);
+  merged.merge(run_packet_range(cfg, 1, 3, seed, 16, ws));
+  merged.merge(run_packet_range(cfg, 3, 4, seed, 16, ws));
 
   EXPECT_EQ(whole.sent, 4);
   EXPECT_TRUE(stats_equal(whole, merged));
@@ -94,22 +95,29 @@ TEST(SweepRunner, ParallelForVisitsEveryItemOnce) {
   const SweepRunner runner(RunnerOptions{.threads = 4});
   constexpr std::size_t kItems = 203;
   std::vector<std::atomic<int>> visits(kItems);
-  runner.parallel_for(kItems, [&](std::size_t i, std::mt19937_64&) {
-    visits[i].fetch_add(1);
-  });
+  runner.parallel_for(
+      kItems, [&](std::size_t i, std::mt19937_64&, dsp::Workspace&) {
+        visits[i].fetch_add(1);
+      });
   for (std::size_t i = 0; i < kItems; ++i) EXPECT_EQ(visits[i].load(), 1);
 }
 
 TEST(SweepRunner, ItemRngDependsOnIndexNotWorker) {
   std::vector<std::uint64_t> serial(16), pooled(16);
   SweepRunner one(RunnerOptions{.threads = 1});
-  one.parallel_for(16, [&](std::size_t i, std::mt19937_64& rng) {
-    serial[i] = rng();
-  }, /*seed_base=*/7);
+  one.parallel_for(
+      16,
+      [&](std::size_t i, std::mt19937_64& rng, dsp::Workspace&) {
+        serial[i] = rng();
+      },
+      /*seed_base=*/7);
   SweepRunner eight(RunnerOptions{.threads = 8});
-  eight.parallel_for(16, [&](std::size_t i, std::mt19937_64& rng) {
-    pooled[i] = rng();
-  }, /*seed_base=*/7);
+  eight.parallel_for(
+      16,
+      [&](std::size_t i, std::mt19937_64& rng, dsp::Workspace&) {
+        pooled[i] = rng();
+      },
+      /*seed_base=*/7);
   EXPECT_EQ(serial, pooled);
   // Distinct items get distinct streams.
   EXPECT_NE(serial[0], serial[1]);
@@ -144,9 +152,11 @@ TEST(SweepRunner, PerWorkerWorkspacesAreThreadCountInvariant) {
 TEST(SweepRunner, PropagatesTheFirstWorkerException) {
   const SweepRunner runner(RunnerOptions{.threads = 4});
   EXPECT_THROW(
-      runner.parallel_for(32, [](std::size_t i, std::mt19937_64&) {
-        if (i == 13) throw std::runtime_error("boom");
-      }),
+      runner.parallel_for(
+          32,
+          [](std::size_t i, std::mt19937_64&, dsp::Workspace&) {
+            if (i == 13) throw std::runtime_error("boom");
+          }),
       std::runtime_error);
 }
 

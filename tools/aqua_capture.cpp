@@ -79,7 +79,8 @@ bool capture_duplex_exchange(const std::string& path) {
   ModemConfig ac, bc;
   ac.my_id = 28;
   bc.my_id = 32;
-  Modem alice(ac), bob(bc);
+  dsp::Workspace ws;
+  Modem alice(ac, ws), bob(bc, ws);
   alice.set_trace_sink(&cap, 0);
   bob.set_trace_sink(&cap, 1);
 
@@ -93,7 +94,6 @@ bool capture_duplex_exchange(const std::string& path) {
   std::vector<std::span<const double>> tx{std::span<const double>(ta),
                                           std::span<const double>(tb)};
   std::vector<std::vector<double>> rx;
-  dsp::Workspace ws;
   std::vector<ModemEvent> ea, eb;
   bool alice_done = false;
   for (std::uint64_t i = 0; i < (4 * 48000) / block; ++i) {
@@ -142,7 +142,8 @@ bool capture_dropped_feedback(const std::string& path) {
 
   ModemConfig rc;
   rc.my_id = 32;
-  Modem bob(rc);
+  dsp::Workspace ws;
+  Modem bob(rc, ws);
   bob.set_trace_sink(&cap, 0);
 
   aqua::channel::LinkConfig lc;
@@ -158,7 +159,7 @@ bool capture_dropped_feedback(const std::string& path) {
   }
 
   std::vector<ModemEvent> events =
-      push_blocks(bob, fwd.transmit(phase1, 0.05, 0.45));
+      push_blocks(bob, fwd.transmit(phase1, ws, 0.05, 0.45));
   if (!has_event(events, ModemEvent::Type::kAddressedToUs)) {
     std::fprintf(stderr, "dropped_feedback: header was not accepted\n");
     return false;
@@ -174,7 +175,7 @@ bool capture_dropped_feedback(const std::string& path) {
   }
 
   // Retransmission: header again, then the data mid-window.
-  events = push_blocks(bob, fwd.transmit(phase1, 0.05, 0.45));
+  events = push_blocks(bob, fwd.transmit(phase1, ws, 0.05, 0.45));
   const ModemEvent* addressed = nullptr;
   for (const ModemEvent& e : events) {
     if (e.type == ModemEvent::Type::kAddressedToUs) addressed = &e;
@@ -188,8 +189,8 @@ bool capture_dropped_feedback(const std::string& path) {
   std::mt19937_64 rng(21);
   std::vector<std::uint8_t> payload(16);
   for (auto& b : payload) b = static_cast<std::uint8_t>(rng() & 1);
-  events = push_blocks(
-      bob, fwd.transmit(modem.encode(payload, addressed->band), 0.6, 1.0));
+  events = push_blocks(bob, fwd.transmit(modem.encode(payload, addressed->band),
+                                         ws, 0.6, 1.0));
   if (!has_event(events, ModemEvent::Type::kPacketDecoded)) {
     std::fprintf(stderr, "dropped_feedback: retransmission not decoded\n");
     return false;
@@ -214,7 +215,8 @@ bool capture_partial_preamble(const std::string& path) {
 
   ModemConfig rc;
   rc.my_id = 32;
-  Modem bob(rc);
+  dsp::Workspace ws;
+  Modem bob(rc, ws);
   bob.set_trace_sink(&cap, 0);
 
   aqua::channel::LinkConfig lc;
@@ -227,7 +229,7 @@ bool capture_partial_preamble(const std::string& path) {
   partial.resize(partial.size() * 85 / 100);
 
   std::vector<ModemEvent> events =
-      push_blocks(bob, fwd.transmit(partial, 0.05, 0.1));
+      push_blocks(bob, fwd.transmit(partial, ws, 0.05, 0.1));
   // Trailing ambient carries the scanner past its confirmation span and
   // the ID gate past its decision position.
   for (auto& e : push_blocks(bob, fwd.ambient(48000))) {
@@ -299,8 +301,9 @@ int main(int argc, char** argv) {
     path += ".aqt";
     if (s.generate(path)) {
       // Verify the fresh capture replays before anyone checks it in.
+      dsp::Workspace ws;
       const aqua::obs::ReplayResult r =
-          aqua::obs::replay_trace(aqua::obs::read_trace(path));
+          aqua::obs::replay_trace(aqua::obs::read_trace(path), ws);
       if (r.ok) {
         std::printf("wrote %s (%s)\n", path.c_str(), r.summary().c_str());
       } else {
