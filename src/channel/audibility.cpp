@@ -75,7 +75,10 @@ double peak_gain_bound(const LinkConfig& cfg, const MobilityModel& mobility,
       path_l1 += std::abs(p.amplitude);
     }
   }
-  return device_l1 * path_l1 * frac_interp_l1() *
+  // The interpolation bound is a constant of the 33-tap kernel; computing
+  // it (65 fractions x 33 sin/cos taps) would dominate this call.
+  static const double frac_l1 = frac_interp_l1();
+  return device_l1 * path_l1 * frac_l1 *
          dsp::db_to_amplitude(kGeometryHeadroomDb);
 }
 

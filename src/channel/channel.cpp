@@ -69,7 +69,7 @@ UnderwaterChannel::UnderwaterChannel(const LinkConfig& config)
     noise_.emplace(np, config_.sample_rate_hz, mic_noise_seed(config_.seed));
   }
 
-  base_paths_ = paths_at(0.0, /*block_index=*/0);
+  base_paths_ = paths_at(0.0, config_.site.waveguide);
   if (base_paths_.empty()) {
     throw std::runtime_error("UnderwaterChannel: no propagation paths");
   }
@@ -104,28 +104,28 @@ Geometry UnderwaterChannel::geometry_at(double t_s) const {
   return g;
 }
 
+WaveguideParams UnderwaterChannel::waveguide_at(std::uint64_t block_index,
+                                               std::mt19937_64& rng) const {
+  WaveguideParams wp = config_.site.waveguide;
+  if (!config_.in_air && config_.site.surface_roughness > 0.0 &&
+      block_index > 0) {
+    // Waves decorrelate the surface bounce from block to block.
+    std::normal_distribution<double> gauss(0.0, config_.site.surface_roughness);
+    wp.surface_reflection = std::clamp(
+        wp.surface_reflection * (1.0 + gauss(rng)), 0.3, 1.0);
+  }
+  return wp;
+}
+
 std::vector<Path> UnderwaterChannel::paths_at(double t_s,
-                                              std::uint64_t block_index,
-                                              std::mt19937_64& rng) const {
+                                              const WaveguideParams& wp) const {
   const Geometry g = geometry_at(t_s);
   if (config_.in_air) {
     const double len = std::hypot(g.range_m, g.source_depth_m - g.receiver_depth_m);
     const double amp = 1.0 / std::max(len, 1.0);
     return {{len / kSoundSpeedAir, amp, 0, 0}};
   }
-  WaveguideParams wp = config_.site.waveguide;
-  if (config_.site.surface_roughness > 0.0 && block_index > 0) {
-    // Waves decorrelate the surface bounce from block to block.
-    std::normal_distribution<double> gauss(0.0, config_.site.surface_roughness);
-    wp.surface_reflection = std::clamp(
-        wp.surface_reflection * (1.0 + gauss(rng)), 0.3, 1.0);
-  }
   return compute_paths(g, wp);
-}
-
-std::vector<Path> UnderwaterChannel::paths_at(double t_s,
-                                              std::uint64_t block_index) {
-  return paths_at(t_s, block_index, roughness_rng_);
 }
 
 std::vector<double> link_device_fir(const LinkConfig& config, bool speaker) {
@@ -178,7 +178,8 @@ std::vector<double> UnderwaterChannel::transmit(std::span<const double> tx,
       const std::size_t len = std::min(kBlockSamples, shaped.size() - start);
       const double t_mid =
           time_s_ + (static_cast<double>(start) + 0.5 * static_cast<double>(len)) / fs;
-      std::vector<Path> paths = paths_at(t_mid, start / kBlockSamples + 1);
+      std::vector<Path> paths = paths_at(
+          t_mid, waveguide_at(start / kBlockSamples + 1, roughness_rng_));
       std::vector<double> block_ir = paths_to_impulse_response_ref(
           paths, fs, reference_delay_s_);
       max_ir = std::max(max_ir, block_ir.size());
@@ -262,19 +263,27 @@ void UnderwaterChannel::Stream::run_multipath(std::span<const double> shaped) {
   std::size_t head = 0;
   while (shaped_pending_.size() - head >= kBlockSamples) {
     const std::uint64_t block_start = mp_blocks_ * kBlockSamples;
-    const double t_mid =
-        time_offset_s_ +
-        (static_cast<double>(block_start) + 0.5 * kBlockSamples) / fs;
-    const std::vector<Path> paths =
-        ch_->paths_at(t_mid, block_offset_ + mp_blocks_ + 1, roughness_rng_);
-    const std::vector<double> ir = paths_to_impulse_response_ref(
-        paths, fs, ch_->reference_delay_s_);
-    const std::vector<double> y = dsp::convolve(
-        std::span<const double>(shaped_pending_).subspan(head, kBlockSamples),
-        ir);
-    const std::size_t off = static_cast<std::size_t>(block_start - mp_emitted_);
-    if (mp_ring_.size() < off + y.size()) mp_ring_.resize(off + y.size(), 0.0);
-    for (std::size_t i = 0; i < y.size(); ++i) mp_ring_[off + i] += y[i];
+    const std::span<const double> block =
+        std::span<const double>(shaped_pending_).subspan(head, kBlockSamples);
+    const WaveguideParams wp =
+        ch_->waveguide_at(block_offset_ + mp_blocks_ + 1, roughness_rng_);
+    // A silent block renders to exact zeros: skip the path solve and the
+    // convolution (its roughness sample is drawn above all the same, so
+    // every later block sees the same paths).
+    if (!dsp::all_zero(block)) {
+      const double t_mid =
+          time_offset_s_ +
+          (static_cast<double>(block_start) + 0.5 * kBlockSamples) / fs;
+      const std::vector<double> ir = paths_to_impulse_response_ref(
+          ch_->paths_at(t_mid, wp), fs, ch_->reference_delay_s_);
+      const std::vector<double> y = dsp::convolve(block, ir);
+      const std::size_t off =
+          static_cast<std::size_t>(block_start - mp_emitted_);
+      if (mp_ring_.size() < off + y.size()) {
+        mp_ring_.resize(off + y.size(), 0.0);
+      }
+      for (std::size_t i = 0; i < y.size(); ++i) mp_ring_[off + i] += y[i];
+    }
     ++mp_blocks_;
     head += kBlockSamples;
   }

@@ -147,9 +147,14 @@ class UnderwaterChannel {
 
  private:
   Geometry geometry_at(double t_s) const;
-  std::vector<Path> paths_at(double t_s, std::uint64_t block_index,
-                             std::mt19937_64& rng) const;
-  std::vector<Path> paths_at(double t_s, std::uint64_t block_index);
+  /// The waveguide of 10 ms block `block_index`: a rough surface draws the
+  /// block's surface coefficient from `rng` (block 0, the initial
+  /// geometry, keeps the configured one). Every block draws, silent or
+  /// not, so the draw sequence does not depend on what was transmitted.
+  WaveguideParams waveguide_at(std::uint64_t block_index,
+                               std::mt19937_64& rng) const;
+  /// The geometry solve at `t_s` through `wp`.
+  std::vector<Path> paths_at(double t_s, const WaveguideParams& wp) const;
   std::vector<double> device_fir(bool speaker) const;
 
   LinkConfig config_;

@@ -40,13 +40,13 @@ NoiseGenerator::NoiseGenerator(const NoiseParams& params,
       sample_rate_hz_(sample_rate_hz),
       rng_(seed),
       burst_rng_(seed * 0x9E3779B97F4A7C15ULL + 0x6A09E667F3BCC909ULL),
-      shaping_(design_shaping_filter(params, sample_rate_hz)),
-      shaping_taps_(design_shaping_filter(params, sample_rate_hz)) {
+      shaping_taps_(design_shaping_filter(params, sample_rate_hz)),
+      shaping_(shaping_taps_) {
   // Calibrate the shaped floor RMS empirically once (deterministic warmup
   // with a private RNG so the stream itself is unaffected).
   std::mt19937_64 warm_rng(seed ^ 0xABCDEF);
   std::normal_distribution<double> g(0.0, 1.0);
-  dsp::StreamingFir warm(design_shaping_filter(params, sample_rate_hz));
+  dsp::StreamingFir warm(shaping_taps_);
   std::vector<double> white(8192);
   for (double& v : white) v = g(warm_rng);
   std::vector<double> shaped = warm.process(white);

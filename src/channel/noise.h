@@ -63,8 +63,8 @@ class NoiseGenerator {
   std::mt19937_64 burst_rng_;  ///< burst arrivals + burst noise
   std::normal_distribution<double> gauss_{0.0, 1.0};
   std::normal_distribution<double> burst_gauss_{0.0, 1.0};
-  dsp::StreamingFir shaping_;
   std::vector<double> shaping_taps_;
+  dsp::StreamingFir shaping_;
   double floor_rms_ = 0.0;
   double gain_ = 1.0;              ///< white->target-RMS scale factor
   double t_ = 0.0;                 ///< running time for tone phases

@@ -1,6 +1,7 @@
 #include "core/link_session.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "phy/chanest.h"
 
@@ -9,16 +10,30 @@ namespace aqua::core {
 LinkSession::LinkSession(const SessionConfig& config, dsp::Workspace& ws)
     : config_(config),
       ws_(ws),
-      forward_(config.forward),
-      backward_(channel::reverse_link(config.forward)),
       preamble_(config.params),
       feedback_(config.params),
       modem_(config.params),
-      ofdm_(config.params) {}
+      ofdm_(config.params) {
+  // The packet channels are built lazily; reject what their constructor
+  // would have rejected up front.
+  if (config_.forward.range_m <= 0.0) {
+    throw std::invalid_argument("LinkSession: range must be > 0");
+  }
+}
+
+channel::UnderwaterChannel& LinkSession::forward_channel() {
+  if (!forward_) forward_.emplace(config_.forward);
+  return *forward_;
+}
+
+channel::UnderwaterChannel& LinkSession::backward_channel() {
+  if (!backward_) backward_.emplace(channel::reverse_link(config_.forward));
+  return *backward_;
+}
 
 std::vector<double> LinkSession::probe_snr() {
   const std::vector<double>& wave = preamble_.waveform();
-  std::vector<double> rx = forward_.transmit(wave, ws_);
+  std::vector<double> rx = forward_channel().transmit(wave, ws_);
   auto det = preamble_.detect(rx, ws_);
   if (!det) return {};
   if (det->start_index + preamble_.core_samples() > rx.size()) return {};
@@ -39,7 +54,7 @@ PacketTrace LinkSession::send_packet_oracle(
     std::vector<double> id_sym = feedback_.encode_tone(config_.bob_id);
     phase1.insert(phase1.end(), id_sym.begin(), id_sym.end());
   }
-  std::vector<double> rx1 = forward_.transmit(phase1, ws_);
+  std::vector<double> rx1 = forward_channel().transmit(phase1, ws_);
   trace.samples_processed += rx1.size();
 
   // ---- Phase 2: Bob detects the preamble and checks the ID. ----
@@ -80,7 +95,7 @@ PacketTrace LinkSession::send_packet_oracle(
     trace.feedback_exact = true;
   } else {
     std::vector<double> fb = feedback_.encode_band(trace.band_selected);
-    std::vector<double> rx2 = backward_.transmit(fb, ws_);
+    std::vector<double> rx2 = backward_channel().transmit(fb, ws_);
     trace.samples_processed += rx2.size();
     auto dec = feedback_.decode_band(rx2, /*step=*/8,
                                      /*min_peak_fraction=*/0.3, ws_);
@@ -100,7 +115,7 @@ PacketTrace LinkSession::send_packet_oracle(
   // costs a packet, exactly as in the real protocol.
   std::vector<double> data =
       modem_.encode(info_bits, trace.band_used, config_.decode.use_differential);
-  std::vector<double> rx3 = forward_.transmit(data, ws_);
+  std::vector<double> rx3 = forward_channel().transmit(data, ws_);
   trace.samples_processed += rx3.size();
 
   phy::DecodeOptions opts = config_.decode;
@@ -134,7 +149,7 @@ PacketTrace LinkSession::send_packet_oracle(
   // ---- Phase 6: Bob ACKs a correct packet on the 1 kHz bin. ----
   if (config_.send_ack && trace.packet_ok) {
     std::vector<double> ack = feedback_.encode_tone(phy::FeedbackCodec::kAckBin);
-    std::vector<double> rx4 = backward_.transmit(ack, ws_);
+    std::vector<double> rx4 = backward_channel().transmit(ack, ws_);
     trace.samples_processed += rx4.size();
     auto got = feedback_.decode_tone(rx4, /*step=*/8,
                                      /*min_peak_fraction=*/0.3, ws_);

@@ -123,8 +123,10 @@ class LinkSession {
   std::vector<double> probe_snr();
 
   const SessionConfig& config() const { return config_; }
-  channel::UnderwaterChannel& forward_channel() { return forward_; }
-  channel::UnderwaterChannel& backward_channel() { return backward_; }
+  /// The packet-mode channels of send_packet_oracle() and probe_snr(),
+  /// built on first use: the streaming send_packet() never touches them.
+  channel::UnderwaterChannel& forward_channel();
+  channel::UnderwaterChannel& backward_channel();
 
   /// Attaches a capture sink to the streaming pipeline: Alice records as
   /// endpoint 0, Bob as endpoint 1, and the medium reports both mixed mic
@@ -141,8 +143,8 @@ class LinkSession {
   dsp::Workspace& ws_;                ///< borrowed DSP scratch arena
   obs::TraceSink* sink_ = nullptr;    ///< borrowed; forwarded on build
   obs::Registry* metrics_ = nullptr;  ///< borrowed; forwarded on build
-  channel::UnderwaterChannel forward_;
-  channel::UnderwaterChannel backward_;
+  std::optional<channel::UnderwaterChannel> forward_;   ///< see forward_channel()
+  std::optional<channel::UnderwaterChannel> backward_;  ///< see backward_channel()
   phy::Preamble preamble_;
   phy::FeedbackCodec feedback_;
   phy::DataModem modem_;

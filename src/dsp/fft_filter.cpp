@@ -200,15 +200,23 @@ std::size_t BasicFftFilter<T>::Stream::push(std::span<const T> x,
   // the absolute input window [b*step - (taps-1), b*step + step) and emits
   // outputs [b*step, (b+1)*step) of the causal convolution. The window is a
   // pure function of the absolute position, which is what makes the output
-  // chunking-invariant.
+  // chunking-invariant. An all-zero window convolves to exact zeros, so it
+  // emits step() zeros untransformed; the test reads only the window, so
+  // the skip cannot depend on the chunking either.
   while (pending_.size() - head >= m_) {
-    std::copy_n(pending_.begin() + static_cast<std::ptrdiff_t>(head), m_,
-                seg.begin());
-    plan_->forward(seg, spec, ws);
-    simd::cmul_inplace(simd::active(), spec.data(), kfft.data(), spec.size());
-    plan_->inverse(spec, seg, ws);
-    for (std::size_t j = 0; j < step_; ++j) {
-      out.push_back(seg[taps - 1 + j]);  // lint: alloc-ok(caller-owned output; capacity amortizes across pushes)
+    const std::span<const T> window =
+        std::span<const T>(pending_).subspan(head, m_);
+    if (all_zero(window)) {
+      out.insert(out.end(), step_, T(0.0));  // lint: alloc-ok(caller-owned output; capacity amortizes across pushes)
+    } else {
+      std::copy_n(window.begin(), m_, seg.begin());
+      plan_->forward(seg, spec, ws);
+      simd::cmul_inplace(simd::active(), spec.data(), kfft.data(),
+                         spec.size());
+      plan_->inverse(spec, seg, ws);
+      for (std::size_t j = 0; j < step_; ++j) {
+        out.push_back(seg[taps - 1 + j]);  // lint: alloc-ok(caller-owned output; capacity amortizes across pushes)
+      }
     }
     emitted += step_;
     head += step_;

@@ -102,6 +102,11 @@ class BasicFftFilter {
   /// same absolute input window through the same FFT path. Outputs
   /// therefore lag inputs by at most step() - 1 samples.
   ///
+  /// Silence is free: a block whose whole input window is zero emits
+  /// step() exact +0.0 samples and runs no transform. The result equals
+  /// the transformed one up to the sign of zero, and since the decision
+  /// reads only that window, it is the same for every chunking.
+  ///
   /// A Stream references its parent engine (which must outlive it) and is
   /// single-threaded mutable state; the parent remains shareable.
   class Stream {

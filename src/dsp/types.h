@@ -41,6 +41,15 @@ std::vector<T> convert_samples(std::span<const double> in) {
   return out;
 }
 
+/// True when every sample is exactly zero (of either sign). The scan runs
+/// from the end and stops at the first non-zero sample, so a live signal
+/// costs one comparison.
+template <typename T>
+bool all_zero(std::span<const T> x) {
+  return std::find_if(x.rbegin(), x.rend(),
+                      [](T v) { return v != T(0); }) == x.rend();
+}
+
 inline constexpr double kPi = std::numbers::pi;
 inline constexpr double kTwoPi = 2.0 * std::numbers::pi;
 

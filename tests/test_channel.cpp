@@ -2,6 +2,10 @@
 // noise synthesis, mobility, and the composed link simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+
 #include "channel/absorption.h"
 #include "channel/channel.h"
 #include "channel/device.h"
@@ -373,6 +377,104 @@ TEST(UnderwaterChannel, EmptyTransmitYieldsNoiseOnlyTimeline) {
   const std::vector<double> rx = ch.transmit({}, ws, 0.01, 0.01);
   EXPECT_GE(rx.size(), static_cast<std::size_t>(0.02 * 48000.0));
   EXPECT_GT(dsp::energy(rx), 0.0);  // ambient noise is on by default
+}
+
+// Streams `x` through a fresh Bay stream (rough surface, fast mobility) in
+// pushes of `chunk` samples.
+std::vector<double> stream_through(const UnderwaterChannel& ch,
+                                   std::span<const double> x,
+                                   std::size_t chunk) {
+  UnderwaterChannel::Stream s = ch.stream();
+  dsp::Workspace ws;
+  std::vector<double> out;
+  for (std::size_t base = 0; base < x.size(); base += chunk) {
+    s.push(x.subspan(base, std::min(chunk, x.size() - base)), out, ws);
+  }
+  return out;
+}
+
+LinkConfig moving_bay_link() {
+  LinkConfig lc;
+  lc.site = site_preset(Site::kBay);
+  lc.range_m = 12.0;
+  lc.motion = MotionKind::kFast;
+  lc.noise_enabled = false;
+  lc.seed = 9;
+  return lc;
+}
+
+TEST(UnderwaterChannelStream, SilenceBetweenChirpsIsChunkingInvariant) {
+  const UnderwaterChannel ch(moving_bay_link());
+  ASSERT_GT(ch.config().site.surface_roughness, 0.0);
+  const double fs = ch.config().sample_rate_hz;
+  std::vector<double> chirp = dsp::lfm_chirp(1000.0, 4000.0, 0.1, fs);
+  for (double& v : chirp) v *= 0.5;
+  const std::size_t gap = static_cast<std::size_t>(1.2 * fs);
+  const std::size_t second = chirp.size() + gap;
+  std::vector<double> x(chirp.begin(), chirp.end());
+  x.resize(second, 0.0);
+  x.insert(x.end(), chirp.begin(), chirp.end());
+  x.resize(x.size() + static_cast<std::size_t>(0.5 * fs), 0.0);
+
+  const std::vector<double> whole = stream_through(ch, x, x.size());
+  ASSERT_EQ(whole.size(), x.size());
+  for (const std::size_t chunk : {1, 480, 777}) {
+    const std::vector<double> o = stream_through(ch, x, chunk);
+    ASSERT_EQ(o.size(), whole.size());
+    EXPECT_EQ(std::memcmp(o.data(), whole.data(), o.size() * sizeof(double)),
+              0)
+        << "chunk " << chunk;
+  }
+
+  // The gap drains to exact zeros: no window or block there holds a
+  // non-zero sample. (Each FFT stage smears round-off up to one block
+  // ahead of the second chirp, which the latency pad absorbs.)
+  const std::size_t ref_offset =
+      static_cast<std::size_t>(std::llround(ch.bulk_delay_s() * fs));
+  const std::size_t drained = second - gap / 2;
+  for (std::size_t i = drained; i < second + ref_offset; ++i) {
+    ASSERT_EQ(whole[i], 0.0) << "sample " << i;
+  }
+  // The second chirp lands at the bulk delay plus the chain latency, give
+  // or take the two 512-tap device filters' group delay.
+  const std::size_t arrival =
+      second + ref_offset + ch.stream().extra_latency();
+  double peak = 0.0;
+  for (const double v : whole) peak = std::max(peak, std::abs(v));
+  std::size_t first = drained;
+  while (first < whole.size() && std::abs(whole[first]) < 1e-6 * peak) {
+    ++first;
+  }
+  EXPECT_GE(first, arrival);
+  EXPECT_LT(first, arrival + static_cast<std::size_t>(0.015 * fs));
+  const auto energy = [&](std::size_t from) {
+    return dsp::energy(std::span<const double>(whole).subspan(
+        from, chirp.size() + static_cast<std::size_t>(0.02 * fs)));
+  };
+  EXPECT_GT(energy(arrival), 0.1 * energy(arrival - second));
+
+  // Silent blocks still draw their roughness sample: without the first
+  // chirp, the second one renders through the very same paths.
+  std::vector<double> late_only(x.size(), 0.0);
+  std::copy(chirp.begin(), chirp.end(),
+            late_only.begin() + static_cast<std::ptrdiff_t>(second));
+  const std::vector<double> late = stream_through(ch, late_only, 480);
+  EXPECT_EQ(std::memcmp(late.data() + drained, whole.data() + drained,
+                        (whole.size() - drained) * sizeof(double)),
+            0);
+}
+
+TEST(UnderwaterChannelStream, AllZeroInputGivesExactZeros) {
+  const UnderwaterChannel ch(moving_bay_link());
+  const std::vector<double> x(static_cast<std::size_t>(1.5 * 48000.0), 0.0);
+  for (const std::size_t chunk : {480, 777}) {
+    const std::vector<double> o = stream_through(ch, x, chunk);
+    ASSERT_EQ(o.size(), x.size());
+    for (std::size_t i = 0; i < o.size(); ++i) {
+      ASSERT_EQ(o[i], 0.0) << "sample " << i;
+      ASSERT_FALSE(std::signbit(o[i])) << "sample " << i;
+    }
+  }
 }
 
 TEST(UnderwaterChannel, RejectsNonPositiveRange) {

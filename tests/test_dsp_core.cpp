@@ -3,7 +3,9 @@
 // running-sum regressions (sliding_energy drift, StreamingFir ring history).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <random>
 
 #include "dsp/correlate.h"
@@ -169,6 +171,87 @@ TEST(FftFilterStream, ChunkingNeverChangesTheOutput) {
   // same absolute input window through the same FFT.
   EXPECT_EQ(o1, o160);
   EXPECT_EQ(o1, o4800);
+}
+
+// Bursts separated by zero runs longer than the stream's FFT window, so
+// some windows hold nothing but zeros and skip their transforms. Three
+// bursts end inside the (taps-1)-sample history of a block's window, where
+// the block's own new samples are all zero but its outputs are not.
+template <typename T>
+void check_silent_windows() {
+  std::mt19937_64 rng(14);
+  std::normal_distribution<double> gauss;
+  std::vector<T> kernel(129);
+  for (T& v : kernel) v = static_cast<T>(gauss(rng));
+  const BasicFftFilter<T> filter(kernel);
+  const typename BasicFftFilter<T>::Stream probe(filter);
+  const std::size_t m = probe.fft_size();
+  const std::size_t step = probe.step();
+  const std::size_t taps = kernel.size();
+  std::vector<T> x(14 * step, T(0));
+  for (const auto& [start, len] :
+       {std::pair<std::size_t, std::size_t>{0, 700},
+        {3 * step - 60, 50},
+        {6 * step - 1, 1},
+        {8 * step + 200, 300},
+        {11 * step - (taps - 1), 1}}) {
+    for (std::size_t i = start; i < start + len; ++i) {
+      x[i] = static_cast<T>(gauss(rng));
+    }
+  }
+  Workspace ws;
+  const std::vector<T> batch = filter.convolve(x, ws);
+
+  const auto run = [&](std::size_t chunk) {
+    typename BasicFftFilter<T>::Stream stream(filter);
+    std::vector<T> out;
+    for (std::size_t base = 0; base < x.size(); base += chunk) {
+      const std::size_t len = std::min(chunk, x.size() - base);
+      stream.push(std::span<const T>(x).subspan(base, len), out, ws);
+    }
+    return out;
+  };
+  const std::vector<T> whole = run(x.size());
+  ASSERT_GT(whole.size(), 0u);
+  ASSERT_LE(whole.size(), batch.size());
+  for (std::size_t i = 0; i < whole.size(); ++i) {
+    ASSERT_NEAR(whole[i], batch[i], 1e-12) << "sample " << i;
+  }
+
+  // Block b reads the input window [b*step - (taps-1), b*step + step).
+  std::size_t silent_blocks = 0;
+  for (std::size_t b = 0; (b + 1) * step <= whole.size(); ++b) {
+    const std::size_t lo = b * step >= taps - 1 ? b * step - (taps - 1) : 0;
+    const std::span<const T> window =
+        std::span<const T>(x).subspan(lo, (b + 1) * step - lo);
+    if (!std::all_of(window.begin(), window.end(),
+                     [](T v) { return v == T(0); })) {
+      continue;
+    }
+    ++silent_blocks;
+    for (std::size_t i = b * step; i < (b + 1) * step; ++i) {
+      ASSERT_EQ(whole[i], T(0)) << "sample " << i;
+      ASSERT_FALSE(std::signbit(whole[i])) << "sample " << i;
+    }
+  }
+  EXPECT_GE(silent_blocks, 3u);
+
+  // The skip reads only the window, so every chunking emits the same bits,
+  // down to the sign of each zero.
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{160}, m + 7}) {
+    const std::vector<T> o = run(chunk);
+    ASSERT_EQ(o.size(), whole.size()) << "chunk " << chunk;
+    EXPECT_EQ(std::memcmp(o.data(), whole.data(), o.size() * sizeof(T)), 0)
+        << "chunk " << chunk;
+  }
+}
+
+TEST(FftFilterStream, SilentWindowsEmitExactZerosDouble) {
+  check_silent_windows<double>();
+}
+
+TEST(FftFilterStream, SilentWindowsEmitExactZerosFloat) {
+  check_silent_windows<float>();
 }
 
 TEST(FftFilterStream, LongKernelLatencyIsBounded) {

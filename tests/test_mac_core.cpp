@@ -259,6 +259,25 @@ TEST(LinkSession, ProbeSnrReturnsPerBinEstimates) {
   EXPECT_GT(avg / 60.0, 5.0);
 }
 
+TEST(LinkSession, PacketChannelsAreBuiltOnFirstUse) {
+  core::SessionConfig cfg;
+  cfg.forward.range_m = 0.0;
+  EXPECT_THROW(core::LinkSession{cfg}, std::invalid_argument);
+
+  // A lazily built channel starts where an eagerly built one would: same
+  // config, same clock, same ambient noise.
+  cfg.forward.range_m = 5.0;
+  cfg.forward.seed = 21;
+  core::LinkSession session(cfg);
+  channel::UnderwaterChannel& fwd = session.forward_channel();
+  EXPECT_EQ(&fwd, &session.forward_channel());
+  EXPECT_EQ(fwd.time_s(), 0.0);
+  channel::UnderwaterChannel eager(cfg.forward);
+  EXPECT_EQ(fwd.ambient(480), eager.ambient(480));
+  EXPECT_EQ(session.backward_channel().config().seed,
+            channel::reverse_link(cfg.forward).seed);
+}
+
 TEST(AquaApp, TwoHandSignalsTravelInOnePacket) {
   core::SessionConfig cfg;
   cfg.forward.site = channel::site_preset(channel::Site::kBridge);
