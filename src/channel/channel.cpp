@@ -77,7 +77,7 @@ UnderwaterChannel::UnderwaterChannel(const LinkConfig& config)
       std::max(base_paths_.front().delay_s - kReferenceMargin_s, 0.0);
 
   // Links whose geometry cannot evolve collapse to one fixed impulse
-  // response; bake its spectrum once so every transmit() reuses it.
+  // response; bake its spectrum once so every stream reuses it.
   const bool static_link = config_.motion == MotionKind::kStatic &&
                            config_.site.surface_roughness <= 0.0 &&
                            config_.site.drift_mps <= 0.0 && !config_.in_air;
@@ -152,65 +152,35 @@ std::vector<double> UnderwaterChannel::transmit(std::span<const double> tx,
                                                 double lead_in_s,
                                                 double tail_s) {
   const double fs = config_.sample_rate_hz;
-
-  // 1. Speaker (+ case + static orientation) response, through the cached
-  // overlap-save kernel spectrum.
-  dsp::ScratchReal shaped_s(ws, tx_filter_.output_length(tx.size()));
-  tx_filter_.convolve_into(tx, shaped_s.span(), ws);
-  std::span<const double> shaped = shaped_s.span();
-
-  // 2. Time-varying multipath. Fixed-geometry links collapse to one cached
-  // overlap-save convolution.
-  const std::size_t ref_offset =
-      static_cast<std::size_t>(std::llround(reference_delay_s_ * fs));
-  std::optional<dsp::ScratchReal> propagated_s;
-  if (fixed_ir_filter_) {
-    propagated_s.emplace(ws, fixed_ir_filter_->output_length(shaped.size()));
-    fixed_ir_filter_->convolve_into(shaped, propagated_s->span(), ws);
-  } else {
-    // Block-wise overlap-add with a per-block impulse response. Mobility
-    // moves tap positions between blocks, which is physical Doppler.
-    std::vector<double> ir = paths_to_impulse_response_ref(
-        base_paths_, fs, reference_delay_s_);
-    std::size_t max_ir = ir.size();
-    std::vector<std::pair<std::size_t, std::vector<double>>> blocks;
-    for (std::size_t start = 0; start < shaped.size(); start += kBlockSamples) {
-      const std::size_t len = std::min(kBlockSamples, shaped.size() - start);
-      const double t_mid =
-          time_s_ + (static_cast<double>(start) + 0.5 * static_cast<double>(len)) / fs;
-      std::vector<Path> paths = paths_at(
-          t_mid, waveguide_at(start / kBlockSamples + 1, roughness_rng_));
-      std::vector<double> block_ir = paths_to_impulse_response_ref(
-          paths, fs, reference_delay_s_);
-      max_ir = std::max(max_ir, block_ir.size());
-      std::vector<double> y = dsp::convolve(
-          shaped.subspan(start, len), block_ir);
-      blocks.emplace_back(start, std::move(y));
-    }
-    propagated_s.emplace(ws, shaped.size() + max_ir);
-    std::vector<double>& propagated = **propagated_s;
-    std::fill(propagated.begin(), propagated.end(), 0.0);
-    for (auto& [start, y] : blocks) {
-      for (std::size_t i = 0; i < y.size(); ++i) {
-        if (start + i < propagated.size()) propagated[start + i] += y[i];
-      }
-    }
-  }
-  std::span<const double> propagated = propagated_s->span();
-
-  // 3. Microphone response.
-  dsp::ScratchReal received_s(ws,
-                              rx_filter_.output_length(propagated.size()));
-  rx_filter_.convolve_into(propagated, received_s.span(), ws);
-  std::span<const double> received = received_s.span();
-
-  // 4. Assemble the receiver timeline with noise.
   const std::size_t lead = static_cast<std::size_t>(lead_in_s * fs);
   const std::size_t tail = static_cast<std::size_t>(tail_s * fs);
-  std::vector<double> out(lead + ref_offset + received.size() + tail, 0.0);
-  for (std::size_t i = 0; i < received.size(); ++i) {
-    out[lead + ref_offset + i] = received[i];
+  const std::size_t ref_offset =
+      static_cast<std::size_t>(std::llround(reference_delay_s_ * fs));
+
+  // One stream run at the link clock, drawing on the channel's own surface
+  // sequence: `tx`, then silence until the full convolution is out. Its
+  // length grows with the longest impulse response rendered, which is
+  // final before the loop can stop: the stream's latency exceeds what the
+  // chain holds back, so every block holding signal has rendered by then.
+  Stream s(*this, time_s_, 0);
+  s.roughness_rng_ = roughness_rng_;
+  const auto end = [&] {
+    const std::size_t body =
+        tx.empty() ? 0
+                   : tx.size() + tx_filter_.kernel_size() + s.ir_taps_ +
+                         rx_filter_.kernel_size() - 3;
+    return lead + s.pad_ + ref_offset + body;
+  };
+  std::vector<double> out(lead, 0.0);
+  s.push(tx, out, ws);
+  while (out.size() < end()) {
+    s.push(std::vector<double>(end() - out.size(), 0.0), out, ws);
   }
+  roughness_rng_ = s.roughness_rng_;
+  out.erase(out.begin() + static_cast<std::ptrdiff_t>(lead),
+            out.begin() + static_cast<std::ptrdiff_t>(lead + s.pad_));
+  out.resize(out.size() + tail, 0.0);
+
   if (noise_) {
     std::vector<double> nz = noise_->generate(out.size());
     for (std::size_t i = 0; i < out.size(); ++i) out[i] += nz[i];
@@ -240,6 +210,7 @@ UnderwaterChannel::Stream::Stream(const UnderwaterChannel& ch,
       roughness_rng_(ch.config_.seed * 104729 + 7) {
   if (ch.fixed_ir_filter_) {
     ir_stream_.emplace(*ch.fixed_ir_filter_, dsp::kMaxStreamStep);
+    ir_taps_ = ch.fixed_ir_filter_->kernel_size();
   }
   // Worst-case samples the chain can hold back at any instant: one
   // incomplete overlap-save block per filter stage plus one incomplete
@@ -276,6 +247,7 @@ void UnderwaterChannel::Stream::run_multipath(std::span<const double> shaped) {
           (static_cast<double>(block_start) + 0.5 * kBlockSamples) / fs;
       const std::vector<double> ir = paths_to_impulse_response_ref(
           ch_->paths_at(t_mid, wp), fs, ch_->reference_delay_s_);
+      ir_taps_ = std::max(ir_taps_, ir.size());
       const std::vector<double> y = dsp::convolve(block, ir);
       const std::size_t off =
           static_cast<std::size_t>(block_start - mp_emitted_);

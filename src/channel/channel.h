@@ -54,7 +54,15 @@ class UnderwaterChannel {
   /// Passes `tx` through the link. The output contains `lead_in_s` seconds
   /// of ambient noise, then the (delayed, distorted) signal, then
   /// `tail_s` seconds of trailing noise. The bulk propagation delay of the
-  /// earliest arrival is included in the output timeline. Filter scratch
+  /// earliest arrival is included in the output timeline: the signal body
+  /// starts round(bulk_delay_s() * fs) samples after the lead-in and is
+  /// the full convolution through the speaker, the longest impulse
+  /// response rendered and the microphone.
+  ///
+  /// This is one Stream run opened at time_s(): `tx`, then silence until
+  /// the whole response is out, with the stream's fixed extra_latency()
+  /// dropped. The stream borrows the channel's surface-roughness RNG, so
+  /// successive packets keep drawing one surface sequence. Filter scratch
   /// leases from `ws`, as in Stream::push.
   std::vector<double> transmit(std::span<const double> tx, dsp::Workspace& ws,
                                double lead_in_s = 0.05, double tail_s = 0.05);
@@ -76,10 +84,6 @@ class UnderwaterChannel {
 
   const LinkConfig& config() const { return config_; }
 
-  /// Advances the internal clock without transmitting (models the silence
-  /// between protocol phases so mobility keeps evolving).
-  void advance_time(double seconds) { time_s_ += seconds; }
-
   /// Current link time (seconds since construction).
   double time_s() const { return time_s_; }
 
@@ -90,10 +94,11 @@ class UnderwaterChannel {
   /// leading zeros of the stream. Ambient noise is NOT added — a shared
   /// medium owns one noise process per microphone, not per path.
   ///
-  /// A Stream keeps its own clock, mobility time and surface-roughness RNG
-  /// (seeded exactly like the owning channel's), so it neither perturbs nor
-  /// observes the packet-mode transmit() state. The parent channel must
-  /// outlive the stream.
+  /// A Stream opened by stream() or stream_at() keeps its own clock,
+  /// mobility time and surface-roughness RNG (seeded exactly like the
+  /// owning channel's), so it neither perturbs nor observes the channel's
+  /// time_s() or RNG; only transmit() hands its own RNG to the stream it
+  /// runs. The parent channel must outlive the stream.
   class Stream {
    public:
     /// Consumes `speaker` and appends exactly speaker.size() microphone
@@ -123,6 +128,7 @@ class UnderwaterChannel {
     std::vector<double> mp_ring_;     ///< overlap-add tail, base mp_emitted_
     std::uint64_t mp_blocks_ = 0;     ///< blocks rendered so far
     std::uint64_t mp_emitted_ = 0;    ///< final samples handed to rx_stream_
+    std::size_t ir_taps_ = 1;         ///< longest IR rendered (1 before any)
     std::vector<double> mp_final_;
     std::mt19937_64 roughness_rng_;
     // Output FIFO, primed with the bulk-delay + latency zeros.

@@ -258,63 +258,38 @@ void AcousticMedium::step(const std::vector<std::span<const double>>& tx,
 
   std::size_t audible = 0;
   for (const auto& s : slots_) {
-    if (s->audible) ++audible;
+    if (!s->audible) continue;
+    ++audible;
+    s->ring.ensure_capacity(n);
   }
-
-  if (pool_->workers() == 1) {
-    // Serial fast path: no rings, no atomics — today's exact code shape.
-    for (std::size_t m = 0; m < eps; ++m) {
-      fill_mic(m, rx[m], n);
-      if (config_.cull_enabled) {
-        observed_peak_[m] = std::max(observed_peak_[m], block_peak(tx[m]));
-      }
-    }
-    for (std::size_t m = 0; m < eps; ++m) {
-      for (const int idx : mix_order_[m]) {
-        PathSlot& slot = *slots_[static_cast<std::size_t>(idx)];
-        if (!slot.audible) continue;
-        path_tmp_.clear();
-        slot.live->stream.push(tx[static_cast<std::size_t>(slot.from)],
-                               path_tmp_, ws);
-        std::vector<double>& dst = rx[m];
-        for (std::size_t i = 0; i < n; ++i) dst[i] += path_tmp_[i];
-      }
-    }
-    shard_metrics_[0].add("medium.rendered_blocks", audible);
-  } else {
-    abort_.store(false, std::memory_order_relaxed);
-    for (const auto& s : slots_) {
-      if (s->audible) s->ring.ensure_capacity(n);
-    }
-    const std::uint64_t seq = ++step_seq_;
-    const int workers = pool_->workers();
-    pool_->run([&](int w) {
-      try {
-        for (std::size_t m = static_cast<std::size_t>(w); m < eps;
-             m += static_cast<std::size_t>(workers)) {
-          fill_mic(m, rx[m], n);
-          if (config_.cull_enabled) {
-            observed_peak_[m] =
-                std::max(observed_peak_[m], block_peak(tx[m]));
-          }
-          noise_ready_[m].store(seq, std::memory_order_release);
+  abort_.store(false, std::memory_order_relaxed);
+  const std::uint64_t seq = ++step_seq_;
+  const int workers = pool_->workers();
+  pool_->run([&](int w) {
+    try {
+      for (std::size_t m = static_cast<std::size_t>(w); m < eps;
+           m += static_cast<std::size_t>(workers)) {
+        fill_mic(m, rx[m], n);
+        if (config_.cull_enabled) {
+          observed_peak_[m] = std::max(observed_peak_[m], block_peak(tx[m]));
         }
-        dsp::Workspace& worker_ws = w == 0 ? ws : pool_->workspace(w);
-        for (const auto& s : slots_) {
-          if (s->audible && s->owner == w) {
-            render_slot(*s, tx[static_cast<std::size_t>(s->from)], worker_ws,
-                        w);
-          }
-        }
-      } catch (...) {
-        // A dead producer would deadlock the mixer's spin; trip the abort
-        // flag first, then let the pool rethrow after the barrier.
-        abort_.store(true, std::memory_order_relaxed);
-        throw;
+        noise_ready_[m].store(seq, std::memory_order_release);
       }
-      if (w == 0) mix(rx, n, seq);
-    });
-  }
+      dsp::Workspace& worker_ws = w == 0 ? ws : pool_->workspace(w);
+      for (const auto& s : slots_) {
+        if (s->audible && s->owner == w) {
+          render_slot(*s, tx[static_cast<std::size_t>(s->from)], worker_ws,
+                      w);
+        }
+      }
+    } catch (...) {
+      // A dead producer would deadlock the mixer's spin; trip the abort
+      // flag first, then let the pool rethrow after the barrier.
+      abort_.store(true, std::memory_order_relaxed);
+      throw;
+    }
+    if (w == 0) mix(rx, n, seq);
+  });
   shard_metrics_[0].add("medium.culled_convolutions",
                         slots_.size() - audible);
 

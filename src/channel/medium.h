@@ -49,8 +49,9 @@ class TraceSink;
 
 namespace aqua::channel {
 
-/// Scaling knobs of a shared medium. The defaults reproduce the legacy
-/// serial medium exactly: one worker, no culling.
+/// Scaling knobs of a shared medium. The defaults are one worker (the
+/// pooled render -> ring -> mix job run as a plain call on the caller's
+/// thread) and no culling.
 struct MediumConfig {
   /// Fixed worker-pool size (>= 1). 0 resolves AQUA_MEDIUM_WORKERS
   /// (defaulting to 1). Output is bit-identical for every value.
@@ -190,7 +191,6 @@ class AcousticMedium {
   std::deque<std::atomic<std::uint64_t>> noise_ready_;
   std::atomic<bool> abort_{false};
   std::vector<obs::Registry> shard_metrics_;  ///< one per worker
-  std::vector<double> path_tmp_;              ///< serial-path scratch
   obs::TraceSink* sink_ = nullptr;  ///< borrowed capture hook; may be null
 };
 

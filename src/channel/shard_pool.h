@@ -6,8 +6,8 @@
 // fixed order — the pool itself only provides the "run this job on every
 // worker index and wait" barrier. One worker (index 0) is always the
 // calling thread, so a single-worker pool spawns no threads at all and
-// run() degenerates to a plain function call, which keeps legacy
-// single-threaded callers on exactly the code path they had before.
+// run() degenerates to a plain function call: one worker runs the same
+// job as many, with no second code path.
 #pragma once
 
 #include <condition_variable>

@@ -11,6 +11,7 @@
 // ring (overrun is a programming error and asserts in debug builds).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
@@ -53,26 +54,26 @@ class SpscRing {
   /// Producer: appends `src`; requires free_space() >= src.size().
   void push(std::span<const double> src) {
     assert(free_space() >= src.size());
-    const std::size_t cap = buf_.size();
-    std::size_t t = tail_.load(std::memory_order_relaxed);
-    for (const double v : src) {
-      buf_[t] = v;
-      t = (t + 1) % cap;
-    }
-    tail_.store(t, std::memory_order_release);
+    const std::size_t t = tail_.load(std::memory_order_relaxed);
+    // At most two contiguous copies: up to the end of the buffer, then
+    // the wrapped remainder from its start.
+    const std::size_t first = std::min(src.size(), buf_.size() - t);
+    std::copy_n(src.begin(), first,
+                buf_.begin() + static_cast<std::ptrdiff_t>(t));
+    std::copy(src.begin() + static_cast<std::ptrdiff_t>(first), src.end(),
+              buf_.begin());
+    tail_.store((t + src.size()) % buf_.size(), std::memory_order_release);
   }
 
   /// Consumer: adds the next `n` samples into `dst[0..n)` and consumes
   /// them; requires available() >= n.
   void consume_add(std::span<double> dst, std::size_t n) {
     assert(available() >= n && dst.size() >= n);
-    const std::size_t cap = buf_.size();
-    std::size_t h = head_.load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < n; ++i) {
-      dst[i] += buf_[h];
-      h = (h + 1) % cap;
-    }
-    head_.store(h, std::memory_order_release);
+    const std::size_t h = head_.load(std::memory_order_relaxed);
+    const std::size_t first = std::min(n, buf_.size() - h);
+    for (std::size_t i = 0; i < first; ++i) dst[i] += buf_[h + i];
+    for (std::size_t i = first; i < n; ++i) dst[i] += buf_[i - first];
+    head_.store((h + n) % buf_.size(), std::memory_order_release);
   }
 
  private:

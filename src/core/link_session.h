@@ -55,7 +55,7 @@ struct SessionConfig {
   /// every decision in the pipeline lives on the absolute sample grid.
   std::size_t medium_block_samples = 480;
   /// Shared-medium scaling knobs (worker pool, audibility culling). The
-  /// defaults keep a two-endpoint session on the serial legacy path;
+  /// defaults keep a two-endpoint session on one worker with no culling;
   /// results are bit-identical for any worker count either way.
   channel::MediumConfig medium;
 };
@@ -115,7 +115,7 @@ class LinkSession {
 
   /// Reference implementation: each phase transmitted through the packet
   /// channels and decoded from its own spliced capture with oracle timing.
-  /// Kept for the streaming-equivalence tests and A/B benches.
+  /// Kept for the streaming-equivalence tests in test_modem.
   PacketTrace send_packet_oracle(std::span<const std::uint8_t> info_bits);
 
   /// The per-bin SNR Bob would estimate right now (sends a lone preamble).

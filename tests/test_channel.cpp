@@ -477,6 +477,92 @@ TEST(UnderwaterChannelStream, AllZeroInputGivesExactZeros) {
   }
 }
 
+// What transmit(x, ws, lead_s, tail_s) must return on a fresh noise-free
+// channel over `cfg`: the stream output of x plus silence with
+// extra_latency() dropped, framed by the lead-in and tail. The body length
+// is taken from `rx`; after it the stream holds only FFT rounding.
+std::vector<double> as_stream_run(const LinkConfig& cfg,
+                                  std::span<const double> x, double lead_s,
+                                  double tail_s,
+                                  const std::vector<double>& rx) {
+  const double fs = cfg.sample_rate_hz;
+  const std::size_t lead = static_cast<std::size_t>(lead_s * fs);
+  const std::size_t tail = static_cast<std::size_t>(tail_s * fs);
+  const UnderwaterChannel ch(cfg);
+  std::vector<double> padded(x.begin(), x.end());
+  padded.resize(x.size() + static_cast<std::size_t>(fs), 0.0);
+  const std::vector<double> s = stream_through(ch, padded, 777);
+  const std::size_t drop = ch.stream().extra_latency();
+  const std::size_t body = rx.size() - lead - tail;
+  EXPECT_LT(drop + body, s.size());
+  double residual = 0.0;
+  for (std::size_t i = drop + body; i < s.size(); ++i) {
+    residual = std::max(residual, std::abs(s[i]));
+  }
+  EXPECT_LT(residual, 1e-12);
+  std::vector<double> expected(lead, 0.0);
+  expected.insert(expected.end(),
+                  s.begin() + static_cast<std::ptrdiff_t>(drop),
+                  s.begin() + static_cast<std::ptrdiff_t>(drop + body));
+  expected.resize(expected.size() + tail, 0.0);
+  return expected;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(UnderwaterChannel, TransmitIsOneStreamRun) {
+  std::vector<double> x = dsp::lfm_chirp(1000.0, 4000.0, 0.05, 48000.0);
+  for (double& v : x) v *= 0.5;
+  dsp::Workspace ws;
+
+  // In air (fixed impulse response): bit for bit the stream, with the body
+  // starting at the bulk delay after the lead-in.
+  LinkConfig air;
+  air.in_air = true;
+  air.range_m = 2.0;
+  air.noise_enabled = false;
+  UnderwaterChannel ch(air);
+  const std::vector<double> rx = ch.transmit(x, ws, 0.01, 0.02);
+  EXPECT_TRUE(same_bits(rx, as_stream_run(air, x, 0.01, 0.02, rx)));
+  const std::size_t body_start =
+      static_cast<std::size_t>(0.01 * 48000.0) +
+      static_cast<std::size_t>(std::llround(ch.bulk_delay_s() * 48000.0));
+  for (std::size_t i = 0; i < body_start; ++i) ASSERT_EQ(rx[i], 0.0);
+  // The body is exactly the full convolution: speaker, the link's one
+  // impulse response (rebuilt here from its single air path) and mic.
+  const double path_m = std::hypot(
+      air.range_m, (air.tx_depth_m + air.tx_device.speaker_offset_m()) -
+                       (air.rx_depth_m + air.rx_device.mic_offset_m()));
+  const std::size_t ir_taps =
+      paths_to_impulse_response_ref(
+          {{path_m / kSoundSpeedAir, 1.0 / std::max(path_m, 1.0), 0, 0}},
+          48000.0, ch.bulk_delay_s())
+          .size();
+  EXPECT_EQ(rx.size(), body_start + x.size() +
+                           link_device_fir(air, /*speaker=*/true).size() +
+                           ir_taps +
+                           link_device_fir(air, /*speaker=*/false).size() - 3 +
+                           static_cast<std::size_t>(0.02 * 48000.0));
+
+  // A rough Bay surface with no motion or drift: the first packet is the
+  // fresh stream run, and the second differs from it only because the
+  // stream borrowed the channel's roughness RNG and handed it back.
+  LinkConfig bay;
+  bay.site = site_preset(Site::kBay);
+  bay.site.drift_mps = 0.0;
+  bay.range_m = 12.0;
+  bay.noise_enabled = false;
+  ASSERT_GT(bay.site.surface_roughness, 0.0);
+  UnderwaterChannel rough(bay);
+  const std::vector<double> first = rough.transmit(x, ws);
+  EXPECT_TRUE(same_bits(first, as_stream_run(bay, x, 0.05, 0.05, first)));
+  const std::vector<double> second = rough.transmit(x, ws);
+  EXPECT_FALSE(same_bits(first, second));
+}
+
 TEST(UnderwaterChannel, RejectsNonPositiveRange) {
   LinkConfig lc;
   lc.range_m = 0.0;

@@ -1,6 +1,9 @@
 // Property suite for the sharded AcousticMedium (randomized seeded
 // topologies):
 //  - the mixed microphone streams are bit-identical for 1/2/8 workers,
+//    and equal an independent reference built from each mic's own noise
+//    process plus standalone channel streams (the SpscRing that carries
+//    rendered blocks to the mixer is checked across its wrap point too),
 //  - audibility culling changes no decoded event at small N (the cull
 //    bound is conservative: everything it removes was below the floor),
 //  - mixing is invariant to endpoint attach order and connect order
@@ -10,12 +13,17 @@
 //    attach-order-derived seeding).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <deque>
 #include <random>
 #include <vector>
 
 #include "channel/audibility.h"
 #include "channel/environment.h"
 #include "channel/medium.h"
+#include "channel/noise.h"
+#include "channel/spsc_ring.h"
 #include "mac/netsim.h"
 
 namespace aqua {
@@ -33,11 +41,57 @@ bool talking(int id, std::size_t t) {
   return (t + 1300 * i) % (9000 + 600 * i) < 800 + 150 * i;
 }
 
-// Runs one seeded line topology (irregular spacing, every ordered pair
-// connected) for `blocks` blocks and returns each endpoint's microphone
-// stream keyed by STABLE id. `order` is the attach/connect order — the
-// returned streams must not depend on it. `gated` silences the speakers
-// outside their talking() bursts.
+// Stable-id positions of a seeded line topology (irregular spacing): a
+// pure function of (seed, id).
+std::vector<double> line_positions(int n, std::uint64_t seed) {
+  std::mt19937_64 topo_rng(seed);
+  std::uniform_real_distribution<double> gap(3.0, 9.0);
+  std::vector<double> x(static_cast<std::size_t>(n));
+  double acc = 0.0;
+  for (int i = 0; i < n; ++i) {
+    x[static_cast<std::size_t>(i)] = acc;
+    acc += gap(topo_rng);
+  }
+  return x;
+}
+
+// The directed link from stable id `a` to `b`.
+channel::LinkConfig pair_link(const std::vector<double>& x, int n,
+                              std::uint64_t seed, int a, int b) {
+  channel::LinkConfig lc;
+  lc.site = channel::site_preset(channel::Site::kBridge);
+  lc.range_m = std::max(0.5, std::abs(x[static_cast<std::size_t>(a)] -
+                                      x[static_cast<std::size_t>(b)]));
+  lc.sample_rate_hz = kFs;
+  lc.seed = seed * 131 +
+            static_cast<std::uint64_t>(a) * static_cast<std::uint64_t>(n) +
+            static_cast<std::uint64_t>(b);
+  return lc;
+}
+
+// Every stable id's speaker stream over `samples` samples: a pure function
+// of (seed, id). `gated` silences it outside its talking() bursts.
+std::vector<std::vector<double>> speakers(int n, std::uint64_t seed,
+                                          std::size_t samples, bool gated) {
+  std::uniform_real_distribution<double> amp(-0.5, 0.5);
+  std::vector<std::vector<double>> tx(static_cast<std::size_t>(n));
+  for (int id = 0; id < n; ++id) {
+    std::mt19937_64 rng(seed ^ (0x51ED2700ULL + static_cast<std::uint64_t>(id)));
+    auto& t = tx[static_cast<std::size_t>(id)];
+    t.resize(samples);
+    for (std::size_t k = 0; k < samples; ++k) {
+      const double v = amp(rng);
+      t[k] = !gated || talking(id, k) ? v : 0.0;
+    }
+  }
+  return tx;
+}
+
+// Runs one seeded line topology (every ordered pair connected) for
+// `blocks` blocks and returns each endpoint's microphone stream keyed by
+// STABLE id. `order` is the attach/connect order — the returned streams
+// must not depend on it. `gated` silences the speakers outside their
+// talking() bursts.
 std::vector<std::vector<double>> run_topology(int workers, int n,
                                               std::uint64_t seed, bool cull,
                                               const std::vector<int>& order,
@@ -49,16 +103,7 @@ std::vector<std::vector<double>> run_topology(int workers, int n,
   mc.cull_enabled = cull;
   channel::AcousticMedium medium(kFs, mc);
 
-  // Positions are a pure function of (seed, stable id).
-  std::mt19937_64 topo_rng(seed);
-  std::uniform_real_distribution<double> gap(3.0, 9.0);
-  std::vector<double> x(static_cast<std::size_t>(n));
-  double acc = 0.0;
-  for (int i = 0; i < n; ++i) {
-    x[static_cast<std::size_t>(i)] = acc;
-    acc += gap(topo_rng);
-  }
-
+  const std::vector<double> x = line_positions(n, seed);
   std::vector<int> idx_of(static_cast<std::size_t>(n), -1);
   for (const int id : order) {
     idx_of[static_cast<std::size_t>(id)] = medium.add_endpoint(
@@ -67,42 +112,23 @@ std::vector<std::vector<double>> run_topology(int workers, int n,
   for (const int a : order) {
     for (const int b : order) {
       if (a == b) continue;
-      channel::LinkConfig lc;
-      lc.site = site;
-      lc.range_m = std::max(
-          0.5, std::abs(x[static_cast<std::size_t>(a)] -
-                        x[static_cast<std::size_t>(b)]));
-      lc.sample_rate_hz = kFs;
-      lc.seed = seed * 131 + static_cast<std::uint64_t>(a) *
-                                 static_cast<std::uint64_t>(n) +
-                static_cast<std::uint64_t>(b);
       medium.connect(idx_of[static_cast<std::size_t>(a)],
-                     idx_of[static_cast<std::size_t>(b)], lc);
+                     idx_of[static_cast<std::size_t>(b)],
+                     pair_link(x, n, seed, a, b));
     }
   }
 
-  // Speaker waveforms are a pure function of (seed, stable id) too.
-  std::vector<std::mt19937_64> tx_rng;
-  for (int i = 0; i < n; ++i) {
-    tx_rng.emplace_back(seed ^ (0x51ED2700ULL + static_cast<std::uint64_t>(i)));
-  }
-  std::uniform_real_distribution<double> amp(-0.5, 0.5);
-
-  std::vector<std::vector<double>> tx(static_cast<std::size_t>(n),
-                                      std::vector<double>(kBlock));
-  std::vector<std::span<const double>> tx_spans;
-  for (const auto& t : tx) tx_spans.emplace_back(t);
+  const auto speaker = speakers(n, seed, blocks * kBlock, gated);
+  std::vector<std::span<const double>> tx_spans(static_cast<std::size_t>(n));
   std::vector<std::vector<double>> rx;
   std::vector<std::vector<double>> out(static_cast<std::size_t>(n));
   dsp::Workspace ws;
 
   for (std::size_t b = 0; b < blocks; ++b) {
     for (int id = 0; id < n; ++id) {
-      auto& block = tx[static_cast<std::size_t>(idx_of[static_cast<std::size_t>(id)])];
-      for (std::size_t k = 0; k < kBlock; ++k) {
-        const double v = amp(tx_rng[static_cast<std::size_t>(id)]);
-        block[k] = !gated || talking(id, b * kBlock + k) ? v : 0.0;
-      }
+      tx_spans[static_cast<std::size_t>(idx_of[static_cast<std::size_t>(id)])] =
+          std::span<const double>(speaker[static_cast<std::size_t>(id)])
+              .subspan(b * kBlock, kBlock);
     }
     medium.step(tx_spans, rx, ws);
     for (int id = 0; id < n; ++id) {
@@ -172,6 +198,90 @@ TEST(MediumScale, GatedSpeakersMixBitIdentically) {
                                 /*gated=*/true))
         << "cull " << cull;
   }
+}
+
+TEST(MediumScale, MixEqualsNoisePlusStandaloneStreams) {
+  // An independent reference for the one mixing path: each microphone's own
+  // noise process, then every other speaker through a standalone
+  // noise-free channel stream, added in ascending stable-id order. Every
+  // speaker talks throughout, so each sample sums several live paths and
+  // any other accumulation order shows in the rounding.
+  const int n = 4;
+  const std::uint64_t seed = 5;
+  const std::size_t blocks = 30;
+  const channel::SitePreset site = channel::site_preset(channel::Site::kBridge);
+  const std::vector<double> x = line_positions(n, seed);
+  const auto speaker = speakers(n, seed, blocks * kBlock, /*gated=*/false);
+  dsp::Workspace ws;
+  std::vector<std::vector<double>> expected(static_cast<std::size_t>(n));
+  for (int m = 0; m < n; ++m) {
+    auto& mic = expected[static_cast<std::size_t>(m)];
+    channel::NoiseGenerator noise(site.noise, kFs,
+                                  channel::mic_noise_seed(seed, m));
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const std::vector<double> nz = noise.generate(kBlock);
+      mic.insert(mic.end(), nz.begin(), nz.end());
+    }
+    for (int a = 0; a < n; ++a) {
+      if (a == m) continue;
+      channel::LinkConfig lc = pair_link(x, n, seed, a, m);
+      lc.noise_enabled = false;
+      const channel::UnderwaterChannel ch(lc);
+      channel::UnderwaterChannel::Stream s = ch.stream();
+      std::vector<double> path;
+      const auto& spk = speaker[static_cast<std::size_t>(a)];
+      for (std::size_t b = 0; b < blocks; ++b) {
+        s.push(std::span<const double>(spk).subspan(b * kBlock, kBlock), path,
+               ws);
+      }
+      for (std::size_t i = 0; i < mic.size(); ++i) mic[i] += path[i];
+    }
+  }
+  for (const int workers : {1, 2, 8}) {
+    const auto got = run_topology(workers, n, seed, /*cull=*/false,
+                                  identity_order(n), blocks);
+    for (int m = 0; m < n; ++m) {
+      const auto& want = expected[static_cast<std::size_t>(m)];
+      const auto& have = got[static_cast<std::size_t>(m)];
+      ASSERT_EQ(have.size(), want.size());
+      EXPECT_EQ(std::memcmp(have.data(), want.data(),
+                            want.size() * sizeof(double)),
+                0)
+          << "workers " << workers << " mic " << m;
+    }
+  }
+}
+
+TEST(SpscRing, WrapsAcrossCapacity) {
+  // Blocks of 300, 480 and 777 samples cross the wrap point of a
+  // 1024-slot ring many times; every consumed sample must match a plain
+  // FIFO, added onto the destination's previous contents.
+  channel::SpscRing ring;
+  ring.ensure_capacity(777);
+  std::deque<double> ref;
+  const std::size_t sizes[] = {300, 480, 777};
+  double next = 1.0;
+  for (std::size_t i = 0; i < 60; ++i) {
+    const std::size_t put = sizes[i % 3];
+    if (ring.free_space() >= put) {
+      std::vector<double> block(put);
+      for (double& v : block) {
+        v = next;
+        next += 1.0;
+      }
+      ring.push(block);
+      ref.insert(ref.end(), block.begin(), block.end());
+    }
+    ASSERT_EQ(ring.available(), ref.size());
+    const std::size_t take = std::min(sizes[(i + 1) % 3], ref.size());
+    std::vector<double> dst(take, 0.5);
+    ring.consume_add(dst, take);
+    for (std::size_t k = 0; k < take; ++k) {
+      ASSERT_EQ(dst[k], ref.front() + 0.5) << "step " << i << " sample " << k;
+      ref.pop_front();
+    }
+  }
+  EXPECT_GT(next, 1024.0 * 8);  // wrapped many times
 }
 
 TEST(MediumScale, MicNoiseSeedIsPureFunctionOfNodeId) {

@@ -9,8 +9,9 @@
 // The microphone streams are quantized to f32 before being pushed (a real
 // capture is 16/24-bit PCM anyway), which lets the trace store sample bits
 // at half width while replay stays bit-exact. Re-running this tool at the
-// same commit reproduces each file byte for byte; CI uploads fresh captures
-// as artifacts when the replay gate fails so divergences can be diffed.
+// same commit reproduces each file byte for byte. CI runs it on every
+// change (each scenario must still show its behavior and self-replay) and
+// uploads the fresh captures when a replay gate fails, for diffing.
 #include <cstdio>
 #include <cstring>
 #include <memory>
