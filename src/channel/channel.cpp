@@ -181,10 +181,7 @@ std::vector<double> UnderwaterChannel::transmit(std::span<const double> tx,
             out.begin() + static_cast<std::ptrdiff_t>(lead + s.pad_));
   out.resize(out.size() + tail, 0.0);
 
-  if (noise_) {
-    std::vector<double> nz = noise_->generate(out.size());
-    for (std::size_t i = 0; i < out.size(); ++i) out[i] += nz[i];
-  }
+  if (noise_) noise_->add_to(out);
   time_s_ += static_cast<double>(out.size()) / fs;
   return out;
 }
@@ -226,9 +223,12 @@ UnderwaterChannel::Stream::Stream(const UnderwaterChannel& ch,
 
 // Renders the time-varying multipath for `shaped` speaker-filtered samples:
 // every absolute 10 ms block gets its own impulse response (tap drift =
-// physical Doppler), overlap-added into mp_ring_; samples no future block
-// can touch are final and flow on into mp_final_.
-void UnderwaterChannel::Stream::run_multipath(std::span<const double> shaped) {
+// physical Doppler), convolved by dsp::convolve_add_into (FFT-sized to the
+// block plus that response, scratch leased from `ws`, no engine built per
+// block) straight into the overlap-add ring mp_ring_; samples no future
+// block can touch are final and flow on into mp_final_.
+void UnderwaterChannel::Stream::run_multipath(std::span<const double> shaped,
+                                              dsp::Workspace& ws) {
   const double fs = ch_->config_.sample_rate_hz;
   shaped_pending_.insert(shaped_pending_.end(), shaped.begin(), shaped.end());
   std::size_t head = 0;
@@ -248,13 +248,13 @@ void UnderwaterChannel::Stream::run_multipath(std::span<const double> shaped) {
       const std::vector<double> ir = paths_to_impulse_response_ref(
           ch_->paths_at(t_mid, wp), fs, ch_->reference_delay_s_);
       ir_taps_ = std::max(ir_taps_, ir.size());
-      const std::vector<double> y = dsp::convolve(block, ir);
       const std::size_t off =
           static_cast<std::size_t>(block_start - mp_emitted_);
-      if (mp_ring_.size() < off + y.size()) {
-        mp_ring_.resize(off + y.size(), 0.0);
-      }
-      for (std::size_t i = 0; i < y.size(); ++i) mp_ring_[off + i] += y[i];
+      const std::size_t len = kBlockSamples + ir.size() - 1;
+      if (mp_ring_.size() < off + len) mp_ring_.resize(off + len, 0.0);
+      dsp::convolve_add_into(block, ir,
+                             std::span<double>(mp_ring_).subspan(off, len),
+                             ws);
     }
     ++mp_blocks_;
     head += kBlockSamples;
@@ -290,7 +290,7 @@ void UnderwaterChannel::Stream::push(std::span<const double> speaker,
     ir_stream_->push(tmp_a_, tmp_b_, ws);
     propagated = tmp_b_;
   } else {
-    run_multipath(tmp_a_);
+    run_multipath(tmp_a_, ws);
     propagated = mp_final_;
   }
   tmp_a_.clear();

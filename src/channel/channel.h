@@ -114,7 +114,7 @@ class UnderwaterChannel {
     Stream(const UnderwaterChannel& ch, double start_time_s,
            std::uint64_t start_block);
 
-    void run_multipath(std::span<const double> shaped);
+    void run_multipath(std::span<const double> shaped, dsp::Workspace& ws);
 
     const UnderwaterChannel* ch_;
     double time_offset_s_ = 0.0;      ///< medium time at stream start

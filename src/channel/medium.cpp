@@ -195,7 +195,8 @@ void AcousticMedium::evaluate_culling(double now_s) {
 void AcousticMedium::fill_mic(std::size_t m, std::vector<double>& dst,
                               std::size_t n) {
   if (mics_[m]) {
-    dst = mics_[m]->generate(n);
+    dst.resize(n);
+    mics_[m]->generate_into(dst);
   } else {
     dst.assign(n, 0.0);
   }

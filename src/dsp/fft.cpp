@@ -101,16 +101,13 @@ void BasicFftPlan<T>::radix2(std::span<C> data, bool invert) const {
     if (i < j) std::swap(data[i], data[j]);
   }
   // Butterfly stages through the SIMD dispatch: each stage's twiddles are
-  // contiguous in stage_tw_, so the kernel runs one dense half-block pass
-  // per (stage, block) pair. The kernel's unfused multiply tree reproduces
-  // the historical std::complex product bit for bit.
+  // contiguous in stage_tw_, and one kernel call runs the whole stage. The
+  // kernel's unfused multiply tree reproduces the historical std::complex
+  // product bit for bit.
   const simd::Kernels& kern = simd::active();
   for (std::size_t half = 1; half < m; half <<= 1) {
-    const C* w = stage_tw_.data() + (half - 1);
-    for (std::size_t start = 0; start < m; start += 2 * half) {
-      simd::butterfly(kern, data.data() + start, data.data() + start + half,
-                      w, half, invert);
-    }
+    simd::butterfly(kern, data.data(), stage_tw_.data() + (half - 1), m, half,
+                    invert);
   }
 }
 
@@ -218,16 +215,22 @@ void BasicRfftPlan<T>::forward(std::span<const T> in, std::span<C> out,
   // Untwiddle: split Z into the spectra of the even/odd sample streams
   // (E = (Z_k + conj(Z_{h-k}))/2, O = -j (Z_k - conj(Z_{h-k}))/2) and
   // recombine as X_k = E + W^k O with W = e^{-j 2 pi / n}.
+  //
+  // Spelled in real arithmetic, the exact operations of the std::complex
+  // expressions (the product is (ac - bd, ad + bc)): GCC 12's SLP
+  // vectorizer assembles std::complex temporaries here through a stack
+  // round trip that stalls store forwarding on every bin, which made this
+  // O(n) pass cost more than the half-size transform itself.
   out[0] = {zf[0].real() + zf[0].imag(), T(0.0)};
   out[h_] = {zf[0].real() - zf[0].imag(), T(0.0)};
   const T half_scale = T(0.5);
   for (std::size_t k = 1; k < h_; ++k) {
-    const C zk = zf[k];
-    const C zc = std::conj(zf[h_ - k]);
-    const C e = half_scale * (zk + zc);
-    const C diff = zk - zc;
-    const C o{half_scale * diff.imag(), -half_scale * diff.real()};
-    out[k] = e + twiddle_[k] * o;
+    const T zr = zf[k].real(), zi = zf[k].imag();
+    const T cr = zf[h_ - k].real(), ci = -zf[h_ - k].imag();  // conj
+    const T er = half_scale * (zr + cr), ei = half_scale * (zi + ci);
+    const T orr = half_scale * (zi - ci), oi = -half_scale * (zr - cr);
+    const T wr = twiddle_[k].real(), wi = twiddle_[k].imag();
+    out[k] = {er + (wr * orr - wi * oi), ei + (wr * oi + wi * orr)};
   }
 }
 
@@ -263,14 +266,16 @@ void BasicRfftPlan<T>::inverse(std::span<const C> in, std::span<T> out,
   Scratch<C> zf_s(ws, h_);
   Scratch<C> z_s(ws, h_);
   std::span<C> zf = zf_s.span();
+  // Real arithmetic for the same reason as in forward().
   const T half_scale = T(0.5);
   for (std::size_t k = 0; k < h_; ++k) {
-    const C xk = in[k];
-    const C xc = std::conj(in[h_ - k]);
-    const C e = half_scale * (xk + xc);
-    const C ow = half_scale * (xk - xc);  // W^k O
-    const C o = std::conj(twiddle_[k]) * ow;
-    zf[k] = {e.real() - o.imag(), e.imag() + o.real()};  // E + j O
+    const T xr = in[k].real(), xi = in[k].imag();
+    const T cr = in[h_ - k].real(), ci = -in[h_ - k].imag();  // conj
+    const T er = half_scale * (xr + cr), ei = half_scale * (xi + ci);
+    const T owr = half_scale * (xr - cr), owi = half_scale * (xi - ci);
+    const T wr = twiddle_[k].real(), wi = -twiddle_[k].imag();  // conj
+    const T orr = wr * owr - wi * owi, oi = wr * owi + wi * owr;
+    zf[k] = {er - oi, ei + orr};  // E + j O
   }
   std::span<C> z = z_s.span();
   half_->inverse(zf, z, ws);

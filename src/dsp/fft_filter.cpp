@@ -39,6 +39,40 @@ std::size_t choose_block(std::size_t taps, std::size_t max_step) {
   return best;
 }
 
+// Overlap-save over the zero-extended input: block b produces outputs
+// [b*step, b*step + step) of the full convolution from the input segment
+// starting at b*step - (taps - 1). Real signal, real kernel: each block is
+// one packed forward transform, a half-spectrum product with `kfft` through
+// the dispatched SIMD kernel, and one packed inverse. `emit(base, y)`
+// receives each block's valid outputs for positions [base, base + y.size()).
+template <typename T, typename Emit>
+void overlap_save(const BasicRfftPlan<T>& plan,
+                  std::span<const std::complex<T>> kfft, std::size_t taps,
+                  std::span<const T> x, std::size_t out_len, Workspace& ws,
+                  Emit emit) {
+  const std::size_t m = plan.size();
+  const std::size_t step = m - taps + 1;
+  Scratch<T> seg_s(ws, m);
+  Scratch<std::complex<T>> spec_s(ws, plan.spectrum_size());
+  std::span<T> seg = seg_s.span();
+  std::span<std::complex<T>> spec = spec_s.span();
+  const std::ptrdiff_t nx = static_cast<std::ptrdiff_t>(x.size());
+  for (std::size_t base = 0; base < out_len; base += step) {
+    const std::ptrdiff_t seg_start = static_cast<std::ptrdiff_t>(base) -
+                                     static_cast<std::ptrdiff_t>(taps - 1);
+    for (std::size_t j = 0; j < m; ++j) {
+      const std::ptrdiff_t idx = seg_start + static_cast<std::ptrdiff_t>(j);
+      seg[j] =
+          (idx >= 0 && idx < nx) ? x[static_cast<std::size_t>(idx)] : T(0.0);
+    }
+    plan.forward(seg, spec, ws);
+    simd::cmul_inplace(simd::active(), spec.data(), kfft.data(), spec.size());
+    plan.inverse(spec, seg, ws);
+    emit(base, std::span<const T>(seg).subspan(
+                   taps - 1, std::min(step, out_len - base)));
+  }
+}
+
 }  // namespace
 
 template <typename T>
@@ -87,33 +121,11 @@ void BasicFftFilter<T>::convolve_into(std::span<const T> x, std::span<T> out,
     return;
   }
 
-  // Overlap-save over the zero-extended input: block b produces outputs
-  // [b*step, b*step + step) of the full convolution from the input segment
-  // starting at b*step - (taps - 1). Real signal, real kernel: each block
-  // is one packed forward transform, a half-spectrum product through the
-  // dispatched SIMD kernel, and one packed inverse.
-  Scratch<T> seg_s(ws, m_);
-  Scratch<C> spec_s(ws, plan_->spectrum_size());
-  std::span<T> seg = seg_s.span();
-  std::span<C> spec = spec_s.span();
-  const std::ptrdiff_t nx = static_cast<std::ptrdiff_t>(x.size());
-  for (std::size_t base = 0; base < out_len; base += step_) {
-    const std::ptrdiff_t seg_start = static_cast<std::ptrdiff_t>(base) -
-                                     static_cast<std::ptrdiff_t>(taps - 1);
-    for (std::size_t j = 0; j < m_; ++j) {
-      const std::ptrdiff_t idx = seg_start + static_cast<std::ptrdiff_t>(j);
-      seg[j] =
-          (idx >= 0 && idx < nx) ? x[static_cast<std::size_t>(idx)] : T(0.0);
-    }
-    plan_->forward(seg, spec, ws);
-    simd::cmul_inplace(simd::active(), spec.data(), kernel_fft_.data(),
-                       spec.size());
-    plan_->inverse(spec, seg, ws);
-    const std::size_t count = std::min(step_, out_len - base);
-    for (std::size_t j = 0; j < count; ++j) {
-      out[base + j] = seg[taps - 1 + j];
-    }
-  }
+  overlap_save<T>(*plan_, kernel_fft_, taps, x, out_len, ws,
+                  [&](std::size_t base, std::span<const T> y) {
+                    std::copy(y.begin(), y.end(), out.begin() +
+                                  static_cast<std::ptrdiff_t>(base));
+                  });
 }
 
 template <typename T>
@@ -214,9 +226,8 @@ std::size_t BasicFftFilter<T>::Stream::push(std::span<const T> x,
       simd::cmul_inplace(simd::active(), spec.data(), kfft.data(),
                          spec.size());
       plan_->inverse(spec, seg, ws);
-      for (std::size_t j = 0; j < step_; ++j) {
-        out.push_back(seg[taps - 1 + j]);  // lint: alloc-ok(caller-owned output; capacity amortizes across pushes)
-      }
+      const auto valid = seg.begin() + static_cast<std::ptrdiff_t>(taps - 1);
+      out.insert(out.end(), valid, valid + static_cast<std::ptrdiff_t>(step_));  // lint: alloc-ok(caller-owned output; capacity amortizes across pushes)
     }
     emitted += step_;
     head += step_;
@@ -225,6 +236,56 @@ std::size_t BasicFftFilter<T>::Stream::push(std::span<const T> x,
                  pending_.begin() + static_cast<std::ptrdiff_t>(head));
   produced_ += emitted;
   return emitted;
+}
+
+void convolve_add_into(std::span<const double> x, std::span<const double> h,
+                       std::span<double> acc, Workspace& ws) {
+  if (x.empty() || h.empty()) return;
+  const std::size_t out_len = x.size() + h.size() - 1;
+  if (acc.size() < out_len) {
+    // lint: throw-ok(caller-bug guard before the sample loop; never fires on well-formed input)
+    throw std::invalid_argument("convolve_add_into: accumulator too short");
+  }
+  if (x.size() * h.size() <= kDirectConvOpsThreshold) {
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const double xi = x[i];
+      if (xi == 0.0) continue;
+      for (std::size_t j = 0; j < h.size(); ++j) acc[i + j] += xi * h[j];
+    }
+    return;
+  }
+  const std::span<const double> kernel = h.size() <= x.size() ? h : x;
+  const std::span<const double> signal = h.size() <= x.size() ? x : h;
+  // One block holds the whole linear convolution up to kMaxSingleConvFft;
+  // beyond it, the block the cost model picks for the kernel.
+  const bool single = out_len <= kMaxSingleConvFft;
+  const std::size_t m =
+      single ? next_pow2(out_len)
+             : choose_block(kernel.size(), static_cast<std::size_t>(-1));
+  const RfftPlan& plan = rplan_of(m);
+  Scratch<double> seg_s(ws, plan.size());
+  Scratch<cplx> ker_s(ws, plan.spectrum_size());
+  std::span<double> seg = seg_s.span();
+  std::fill(std::copy(kernel.begin(), kernel.end(), seg.begin()), seg.end(),
+            0.0);
+  plan.forward(seg, ker_s.span(), ws);
+  if (single) {
+    Scratch<cplx> sig_s(ws, plan.spectrum_size());
+    std::fill(std::copy(signal.begin(), signal.end(), seg.begin()), seg.end(),
+              0.0);
+    plan.forward(seg, sig_s.span(), ws);
+    simd::cmul_inplace(simd::active(), sig_s->data(), ker_s->data(),
+                       sig_s->size());
+    plan.inverse(sig_s.span(), seg, ws);
+    for (std::size_t i = 0; i < out_len; ++i) acc[i] += seg[i];
+    return;
+  }
+  overlap_save<double>(plan, ker_s.span(), kernel.size(), signal, out_len, ws,
+                       [&](std::size_t base, std::span<const double> y) {
+                         for (std::size_t j = 0; j < y.size(); ++j) {
+                           acc[base + j] += y[j];
+                         }
+                       });
 }
 
 template class BasicFftFilter<double>;

@@ -55,6 +55,22 @@ inline constexpr std::size_t kOneShotDirectConvOpsThreshold = std::size_t{1}
 /// can afford. 16384 samples is ~0.34 s at 48 kHz.
 inline constexpr std::size_t kMaxStreamStep = std::size_t{1} << 14;
 
+/// Largest transform convolve_add_into() runs to convolve both operands in
+/// one block; longer outputs go through overlap-save instead.
+inline constexpr std::size_t kMaxSingleConvFft = std::size_t{1} << 12;
+
+/// Adds the full linear convolution of `x` and `h` onto the first
+/// x.size() + h.size() - 1 samples of `acc` (which may be longer), for
+/// operands that change on every call — the per-block impulse responses of
+/// a time-varying channel. Unlike convolve(), it builds no engine and
+/// allocates nothing after warm-up: all scratch leases from `ws`. Small
+/// products run the direct loop; an output that fits kMaxSingleConvFft is
+/// one packed transform per operand at next_pow2(output), one product and
+/// one inverse; a longer one runs overlap-save with the shorter operand as
+/// the kernel at its cost-optimal block.
+void convolve_add_into(std::span<const double> x, std::span<const double> h,
+                       std::span<double> acc, Workspace& ws);
+
 /// Streaming-capable overlap-save convolution engine for one real kernel.
 template <typename T>
 class BasicFftFilter {

@@ -105,7 +105,6 @@ std::vector<double> design_fractional_delay(double delay_samples,
   return h;
 }
 
-// lint: hot-alloc-ok(one-shot allocating helper for sim/offline callers; the modem decode path uses FftFilter::convolve_into with Workspace leases)
 std::vector<double> convolve(std::span<const double> x,
                              std::span<const double> h) {
   if (x.empty() || h.empty()) return {};
@@ -129,7 +128,6 @@ std::vector<double> convolve(std::span<const double> x,
   return filt.convolve(signal, thread_local_workspace());
 }
 
-// lint: hot-alloc-ok(one-shot allocating helper for sim/offline callers; the modem decode path uses FftFilter::convolve_into with Workspace leases)
 std::vector<cplx> convolve(std::span<const cplx> x, std::span<const cplx> h) {
   if (x.empty() || h.empty()) return {};
   const std::size_t out_len = x.size() + h.size() - 1;
@@ -180,11 +178,9 @@ std::vector<T> BasicStreamingFir<T>::process(std::span<const T> in) {
   //   y[i] = sum_k rtaps[k] * buf[i + k] = sum_j taps[j] * v[i - j],
   // a pure function of its absolute input window — which keeps the stream
   // chunking-invariant on every dispatch target.
-  // lint: alloc-ok(capacity persists across calls; resize stays within it after warm-up)
   buf_.resize(hist + in.size());
   std::copy(in.begin(), in.end(),
             buf_.begin() + static_cast<std::ptrdiff_t>(hist));
-  // lint: alloc-ok(sim-side streaming API returns its block by value; not on the modem decode path)
   std::vector<T> out(in.size());
   const simd::Kernels& kern = simd::active();
   for (std::size_t i = 0; i < in.size(); ++i) {
@@ -195,7 +191,6 @@ std::vector<T> BasicStreamingFir<T>::process(std::span<const T> in) {
   if (hist > 0) {
     std::memmove(buf_.data(), buf_.data() + in.size(), hist * sizeof(T));
   }
-  // lint: alloc-ok(shrinking resize; never reallocates)
   buf_.resize(hist);
   return out;
 }

@@ -99,32 +99,35 @@ void scalar_sdft_update_f(float* acc_re, float* acc_im, std::uint32_t* phase,
   }
 }
 
-void scalar_butterfly(cplx* a, cplx* b, const cplx* w, std::size_t n,
-                      bool conj_w) {
-  const double s = conj_w ? -1.0 : 1.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double wr = w[i].real(), wi = s * w[i].imag();
-    const double br = b[i].real(), bi = b[i].imag();
-    const double vr = br * wr - bi * wi;
-    const double vi = br * wi + bi * wr;
-    const double ur = a[i].real(), ui = a[i].imag();
-    a[i] = {ur + vr, ui + vi};
-    b[i] = {ur - vr, ui - vi};
+// One butterfly stage, block by block (the scalar reference for both
+// precisions: the same tree evaluated in T).
+template <typename T>
+void scalar_butterfly_stage(std::complex<T>* data, const std::complex<T>* w,
+                            std::size_t m, std::size_t half, bool conj_w) {
+  const T s = conj_w ? T(-1) : T(1);
+  for (std::size_t start = 0; start < m; start += 2 * half) {
+    std::complex<T>* a = data + start;
+    std::complex<T>* b = a + half;
+    for (std::size_t i = 0; i < half; ++i) {
+      const T wr = w[i].real(), wi = s * w[i].imag();
+      const T br = b[i].real(), bi = b[i].imag();
+      const T vr = br * wr - bi * wi;
+      const T vi = br * wi + bi * wr;
+      const T ur = a[i].real(), ui = a[i].imag();
+      a[i] = {ur + vr, ui + vi};
+      b[i] = {ur - vr, ui - vi};
+    }
   }
 }
 
-void scalar_butterfly_f(cplxf* a, cplxf* b, const cplxf* w, std::size_t n,
-                        bool conj_w) {
-  const float s = conj_w ? -1.0f : 1.0f;
-  for (std::size_t i = 0; i < n; ++i) {
-    const float wr = w[i].real(), wi = s * w[i].imag();
-    const float br = b[i].real(), bi = b[i].imag();
-    const float vr = br * wr - bi * wi;
-    const float vi = br * wi + bi * wr;
-    const float ur = a[i].real(), ui = a[i].imag();
-    a[i] = {ur + vr, ui + vi};
-    b[i] = {ur - vr, ui - vi};
-  }
+void scalar_butterfly(cplx* data, const cplx* w, std::size_t m,
+                      std::size_t half, bool conj_w) {
+  scalar_butterfly_stage(data, w, m, half, conj_w);
+}
+
+void scalar_butterfly_f(cplxf* data, const cplxf* w, std::size_t m,
+                        std::size_t half, bool conj_w) {
+  scalar_butterfly_stage(data, w, m, half, conj_w);
 }
 
 constexpr Kernels kScalarKernels{"scalar",

@@ -14,9 +14,9 @@
 //   * `sdft_update` — the sliding-DFT bin update: one fused
 //     multiply-accumulate per active bin per sample in
 //     `moving_dft_power`'s running recurrence.
-//   * `butterfly` — the radix-2 FFT butterfly stage: twiddle multiply plus
-//     add/sub over one contiguous half-block, the inner loop of every
-//     power-of-two transform.
+//   * `butterfly` — one whole radix-2 FFT butterfly stage: twiddle
+//     multiply plus add/sub over every half-block pair of the stage, the
+//     inner loop of every power-of-two transform.
 //
 // Each family has a double entry and a float entry (`*_f`), the float one
 // running twice the lanes at the same vector width — that is the whole
@@ -78,15 +78,20 @@ struct Kernels {
                       const double* tab_im, double d, std::size_t bins,
                       std::uint32_t period);
 
-  /// Radix-2 butterfly over one half-block: for i < n, with
+  /// One whole radix-2 butterfly stage over `m` points with half-block
+  /// `half` (m a multiple of 2 * half): for every block start
+  /// s = 0, 2*half, ..., m - 2*half and every i < half, with
+  /// a = data[s + i], b = data[s + half + i] and
   /// w_i = conj_w ? conj(w[i]) : w[i],
-  ///   v = b[i] * w_i    (plain mul/sub tree: vr = br*wr - bi*wi,
-  ///                      vi = br*wi + bi*wr — NOT fused, matching the
-  ///                      historical std::complex product so double FFT
-  ///                      results are unchanged from the scalar era)
-  ///   u = a[i];  a[i] = u + v;  b[i] = u - v.
-  void (*butterfly)(cplx* a, cplx* b, const cplx* w, std::size_t n,
-                    bool conj_w);
+  ///   v = b * w_i   (plain mul/sub tree: vr = br*wr - bi*wi,
+  ///                  vi = br*wi + bi*wr — NOT fused, matching the
+  ///                  historical std::complex product so double FFT
+  ///                  results are unchanged from the scalar era)
+  ///   a = a + v;  b = a_old - v.
+  /// One call per stage, so the first stages' m/2 tiny blocks cost no
+  /// per-block dispatch.
+  void (*butterfly)(cplx* data, const cplx* w, std::size_t m,
+                    std::size_t half, bool conj_w);
 
   /// Single-precision twins of the four kernels above. Same expression
   /// trees evaluated in float (std::fma -> fmaf; dot_f uses 8 lanes with
@@ -97,8 +102,8 @@ struct Kernels {
                         const std::uint32_t* step, const float* tab_re,
                         const float* tab_im, float d, std::size_t bins,
                         std::uint32_t period);
-  void (*butterfly_f)(cplxf* a, cplxf* b, const cplxf* w, std::size_t n,
-                      bool conj_w);
+  void (*butterfly_f)(cplxf* data, const cplxf* w, std::size_t m,
+                      std::size_t half, bool conj_w);
 };
 
 /// The kernel table selected for this process: the widest ISA the CPU
@@ -153,13 +158,13 @@ inline void sdft_update(const Kernels& k, float* acc_re, float* acc_im,
                   period);
 }
 
-inline void butterfly(const Kernels& k, cplx* a, cplx* b, const cplx* w,
-                      std::size_t n, bool conj_w) {
-  k.butterfly(a, b, w, n, conj_w);
+inline void butterfly(const Kernels& k, cplx* data, const cplx* w,
+                      std::size_t m, std::size_t half, bool conj_w) {
+  k.butterfly(data, w, m, half, conj_w);
 }
-inline void butterfly(const Kernels& k, cplxf* a, cplxf* b, const cplxf* w,
-                      std::size_t n, bool conj_w) {
-  k.butterfly_f(a, b, w, n, conj_w);
+inline void butterfly(const Kernels& k, cplxf* data, const cplxf* w,
+                      std::size_t m, std::size_t half, bool conj_w) {
+  k.butterfly_f(data, w, m, half, conj_w);
 }
 
 }  // namespace aqua::dsp::simd

@@ -81,10 +81,8 @@ void neon_sdft_update(double* acc_re, double* acc_im, std::uint32_t* phase,
   }
 }
 
-void neon_butterfly(cplx* a, cplx* b, const cplx* w, std::size_t n,
-                    bool conj_w) {
-  auto* ad = reinterpret_cast<double*>(a);
-  auto* bd = reinterpret_cast<double*>(b);
+void neon_butterfly(cplx* data, const cplx* w, std::size_t m,
+                    std::size_t half, bool conj_w) {
   const auto* wd = reinterpret_cast<const double*>(w);
   // XOR-ing with -0.0 flips signs exactly: conj_mask negates the imaginary
   // lane of w, neg_even negates the real lane of the cross product so a
@@ -93,20 +91,28 @@ void neon_butterfly(cplx* a, cplx* b, const cplx* w, std::size_t n,
   const uint64x2_t conj_mask =
       conj_w ? vsetq_lane_u64(sign, vdupq_n_u64(0), 1) : vdupq_n_u64(0);
   const uint64x2_t neg_even = vsetq_lane_u64(sign, vdupq_n_u64(0), 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const float64x2_t wv = vreinterpretq_f64_u64(veorq_u64(
-        vreinterpretq_u64_f64(vld1q_f64(wd + 2 * i)), conj_mask));  // [wr wi]
-    const float64x2_t bv = vld1q_f64(bd + 2 * i);                   // [br bi]
-    const float64x2_t bs = vextq_f64(bv, bv, 1);                    // [bi br]
-    const float64x2_t m1 =
-        vmulq_f64(bv, vdupq_laneq_f64(wv, 0));  // [br*wr bi*wr]
-    float64x2_t m2 = vmulq_f64(bs, vdupq_laneq_f64(wv, 1));  // [bi*wi br*wi]
-    m2 = vreinterpretq_f64_u64(
-        veorq_u64(vreinterpretq_u64_f64(m2), neg_even));
-    const float64x2_t v = vaddq_f64(m1, m2);  // [br*wr-bi*wi bi*wr+br*wi]
-    const float64x2_t av = vld1q_f64(ad + 2 * i);
-    vst1q_f64(ad + 2 * i, vaddq_f64(av, v));
-    vst1q_f64(bd + 2 * i, vsubq_f64(av, v));
+  // One complex per vector, so every block runs the same per-element body
+  // whatever its size.
+  for (std::size_t start = 0; start < m; start += 2 * half) {
+    auto* ad = reinterpret_cast<double*>(data + start);
+    auto* bd = reinterpret_cast<double*>(data + start + half);
+    for (std::size_t i = 0; i < half; ++i) {
+      // [wr wi]
+      const float64x2_t wv = vreinterpretq_f64_u64(veorq_u64(
+          vreinterpretq_u64_f64(vld1q_f64(wd + 2 * i)), conj_mask));
+      const float64x2_t bv = vld1q_f64(bd + 2 * i);  // [br bi]
+      const float64x2_t bs = vextq_f64(bv, bv, 1);   // [bi br]
+      const float64x2_t m1 =
+          vmulq_f64(bv, vdupq_laneq_f64(wv, 0));  // [br*wr bi*wr]
+      float64x2_t m2 =
+          vmulq_f64(bs, vdupq_laneq_f64(wv, 1));  // [bi*wi br*wi]
+      m2 = vreinterpretq_f64_u64(
+          veorq_u64(vreinterpretq_u64_f64(m2), neg_even));
+      const float64x2_t v = vaddq_f64(m1, m2);  // [br*wr-bi*wi bi*wr+br*wi]
+      const float64x2_t av = vld1q_f64(ad + 2 * i);
+      vst1q_f64(ad + 2 * i, vaddq_f64(av, v));
+      vst1q_f64(bd + 2 * i, vsubq_f64(av, v));
+    }
   }
 }
 
@@ -184,42 +190,46 @@ void neon_sdft_update_f(float* acc_re, float* acc_im, std::uint32_t* phase,
   }
 }
 
-void neon_butterfly_f(cplxf* a, cplxf* b, const cplxf* w, std::size_t n,
-                      bool conj_w) {
-  auto* af = reinterpret_cast<float*>(a);
-  auto* bf = reinterpret_cast<float*>(b);
+void neon_butterfly_f(cplxf* data, const cplxf* w, std::size_t m,
+                      std::size_t half, bool conj_w) {
   const auto* wf = reinterpret_cast<const float*>(w);
   const uint32x4_t conj_mask = conj_w
                                    ? uint32x4_t{0u, 0x80000000u, 0u,
                                                 0x80000000u}
                                    : vdupq_n_u32(0u);
   const uint32x4_t neg_even = {0x80000000u, 0u, 0x80000000u, 0u};
-  const std::size_t n2 = n & ~std::size_t{1};
-  for (std::size_t i = 0; i < n2; i += 2) {
-    const float32x4_t wv = vreinterpretq_f32_u32(veorq_u32(
-        vreinterpretq_u32_f32(vld1q_f32(wf + 2 * i)), conj_mask));
-    const float32x4_t bv = vld1q_f32(bf + 2 * i);
-    const float32x4_t wr = vtrn1q_f32(wv, wv);
-    const float32x4_t wi = vtrn2q_f32(wv, wv);
-    const float32x4_t bs = vrev64q_f32(bv);
-    const float32x4_t m1 = vmulq_f32(bv, wr);
-    float32x4_t m2 = vmulq_f32(bs, wi);
-    m2 = vreinterpretq_f32_u32(
-        veorq_u32(vreinterpretq_u32_f32(m2), neg_even));
-    const float32x4_t v = vaddq_f32(m1, m2);
-    const float32x4_t av = vld1q_f32(af + 2 * i);
-    vst1q_f32(af + 2 * i, vaddq_f32(av, v));
-    vst1q_f32(bf + 2 * i, vsubq_f32(av, v));
-  }
-  if (n2 < n) {
-    const float s = conj_w ? -1.0f : 1.0f;
-    const float wr = w[n2].real(), wi = s * w[n2].imag();
-    const float br = b[n2].real(), bi = b[n2].imag();
-    const float vr = br * wr - bi * wi;
-    const float vi = br * wi + bi * wr;
-    const float ur = a[n2].real(), ui = a[n2].imag();
-    a[n2] = {ur + vr, ui + vi};
-    b[n2] = {ur - vr, ui - vi};
+  const float s = conj_w ? -1.0f : 1.0f;
+  const std::size_t n2 = half & ~std::size_t{1};
+  for (std::size_t start = 0; start < m; start += 2 * half) {
+    cplxf* a = data + start;
+    cplxf* b = a + half;
+    auto* af = reinterpret_cast<float*>(a);
+    auto* bf = reinterpret_cast<float*>(b);
+    for (std::size_t i = 0; i < n2; i += 2) {
+      const float32x4_t wv = vreinterpretq_f32_u32(veorq_u32(
+          vreinterpretq_u32_f32(vld1q_f32(wf + 2 * i)), conj_mask));
+      const float32x4_t bv = vld1q_f32(bf + 2 * i);
+      const float32x4_t wr = vtrn1q_f32(wv, wv);
+      const float32x4_t wi = vtrn2q_f32(wv, wv);
+      const float32x4_t bs = vrev64q_f32(bv);
+      const float32x4_t m1 = vmulq_f32(bv, wr);
+      float32x4_t m2 = vmulq_f32(bs, wi);
+      m2 = vreinterpretq_f32_u32(
+          veorq_u32(vreinterpretq_u32_f32(m2), neg_even));
+      const float32x4_t v = vaddq_f32(m1, m2);
+      const float32x4_t av = vld1q_f32(af + 2 * i);
+      vst1q_f32(af + 2 * i, vaddq_f32(av, v));
+      vst1q_f32(bf + 2 * i, vsubq_f32(av, v));
+    }
+    if (n2 < half) {
+      const float wr = w[n2].real(), wi = s * w[n2].imag();
+      const float br = b[n2].real(), bi = b[n2].imag();
+      const float vr = br * wr - bi * wi;
+      const float vi = br * wi + bi * wr;
+      const float ur = a[n2].real(), ui = a[n2].imag();
+      a[n2] = {ur + vr, ui + vi};
+      b[n2] = {ur - vr, ui - vi};
+    }
   }
 }
 

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <random>
+#include <span>
 
 #include "channel/absorption.h"
 #include "channel/channel.h"
@@ -14,6 +16,7 @@
 #include "channel/multipath.h"
 #include "channel/noise.h"
 #include "dsp/chirp.h"
+#include "dsp/fir.h"
 #include "dsp/spectrum.h"
 
 namespace aqua::channel {
@@ -220,6 +223,134 @@ TEST(Noise, BubbleBurstsAreImpulsive) {
   for (double v : nz) peak = std::max(peak, std::abs(v));
   const double r = dsp::rms(nz);
   EXPECT_GT(peak / r, 6.0);  // crest factor far above Gaussian (~4)
+}
+
+// The sample-by-sample generator the FFT renderer replaced, kept as the
+// oracle: direct-form FIR coloring scaled after the fact, a sin() call per
+// tone per sample, the burst envelope decay recomputed per sample. Same
+// seeds and the same draw order as NoiseGenerator, so the two must agree
+// to rounding.
+class OracleNoise {
+ public:
+  OracleNoise(const NoiseParams& p, double fs, std::uint64_t seed,
+              const std::vector<double>& taps)
+      : params_(p),
+        fs_(fs),
+        rng_(seed),
+        burst_rng_(seed * 0x9E3779B97F4A7C15ULL + 0x6A09E667F3BCC909ULL),
+        shaping_(taps) {
+    std::mt19937_64 warm_rng(seed ^ 0xABCDEF);
+    std::normal_distribution<double> g(0.0, 1.0);
+    dsp::StreamingFir warm(taps);
+    std::vector<double> white(8192);
+    for (double& v : white) v = g(warm_rng);
+    const double raw_rms = dsp::rms(warm.process(white));
+    floor_rms_ = noise_floor_rms(p);
+    gain_ = raw_rms > 0.0 ? floor_rms_ / raw_rms : 0.0;
+  }
+
+  std::vector<double> generate(std::size_t n) {
+    std::vector<double> white(n);
+    for (double& v : white) v = gauss_(rng_);
+    std::vector<double> out = shaping_.process(white);
+    for (double& v : out) v *= gain_;
+    const double dt = 1.0 / fs_;
+    std::uniform_real_distribution<double> uni(0.0, 1.0);
+    const double p_burst = params_.bubble_rate_hz * dt;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (params_.bubble_rate_hz > 0.0 && uni(burst_rng_) < p_burst) {
+        burst_remaining_ = 0.02 + 0.03 * uni(burst_rng_);
+        burst_env_ = params_.bubble_gain * floor_rms_;
+      }
+      if (burst_remaining_ > 0.0) {
+        out[i] += burst_env_ * burst_gauss_(burst_rng_);
+        burst_env_ *= std::exp(-dt / 0.008);
+        burst_remaining_ -= dt;
+      }
+      if (!params_.boat_tones_hz.empty()) {
+        double tone_sum = 0.0;
+        for (std::size_t j = 0; j < params_.boat_tones_hz.size(); ++j) {
+          tone_sum += std::sin(dsp::kTwoPi * params_.boat_tones_hz[j] * t_ +
+                               0.7 * static_cast<double>(j));
+        }
+        const double wander = 0.75 + 0.25 * std::sin(dsp::kTwoPi * 0.13 * t_);
+        out[i] += params_.boat_tone_gain * floor_rms_ * wander * tone_sum /
+                  static_cast<double>(params_.boat_tones_hz.size());
+      }
+      t_ += dt;
+    }
+    return out;
+  }
+
+ private:
+  NoiseParams params_;
+  double fs_;
+  std::mt19937_64 rng_;
+  std::mt19937_64 burst_rng_;
+  std::normal_distribution<double> gauss_{0.0, 1.0};
+  std::normal_distribution<double> burst_gauss_{0.0, 1.0};
+  dsp::StreamingFir shaping_;
+  double floor_rms_ = 0.0;
+  double gain_ = 1.0;
+  double t_ = 0.0;
+  double burst_remaining_ = 0.0;
+  double burst_env_ = 0.0;
+};
+
+TEST(Noise, FftRendererMatchesSampleBySampleOracle) {
+  // Every site over 10 s, pulled in the medium's 10 ms blocks: the same
+  // realization as the oracle (same draws, same order), so only rounding
+  // may differ — and the tone phasors must not drift from the sin() clock.
+  constexpr double kFs = 48000.0;
+  constexpr std::size_t kTotal = 480000;
+  constexpr std::size_t kBlock = 480;
+  for (const Site site : all_sites()) {
+    const NoiseParams np = site_preset(site).noise;
+    NoiseGenerator gen(np, kFs, 4242);
+    OracleNoise oracle(np, kFs, 4242, gen.shaping_taps());
+    const std::vector<double> want = oracle.generate(kTotal);
+    std::vector<double> got(kTotal);
+    for (std::size_t i = 0; i < kTotal; i += kBlock) {
+      gen.generate_into(std::span<double>(got).subspan(i, kBlock));
+    }
+    double max_err = 0.0;
+    for (std::size_t i = 0; i < kTotal; ++i) {
+      max_err = std::max(max_err, std::abs(got[i] - want[i]));
+    }
+    EXPECT_LE(max_err, 1e-9 * gen.floor_rms()) << site_name(site);
+  }
+}
+
+TEST(Noise, ChunkingInvariantAcrossRefillBoundaries) {
+  // Park has bursts and boat tones, so every per-refill state (coloring
+  // history, burst envelope, phasor anchors) crosses the boundaries.
+  const NoiseParams np = site_preset(Site::kPark).noise;
+  NoiseGenerator ref_gen(np, 48000.0, 99);
+  const std::size_t step = ref_gen.refill_step();
+  constexpr std::size_t kTotal = 25000;
+  const std::vector<double> want = ref_gen.generate(kTotal);
+  for (const std::size_t chunk :
+       {std::size_t{1}, std::size_t{479}, std::size_t{480}, step - 1, step,
+        step + 1, std::size_t{10000}}) {
+    NoiseGenerator gen(np, 48000.0, 99);
+    std::vector<double> got(kTotal, 0.0);
+    bool add = false;
+    for (std::size_t i = 0; i < kTotal; i += chunk) {
+      const std::span<double> part =
+          std::span<double>(got).subspan(i, std::min(chunk, kTotal - i));
+      // Alternate the two write modes: adding onto zeros must equal
+      // writing.
+      if (add) {
+        gen.add_to(part);
+      } else {
+        gen.generate_into(part);
+      }
+      add = !add;
+    }
+    for (std::size_t i = 0; i < kTotal; ++i) {
+      ASSERT_EQ(got[i], want[i]) << "chunk " << chunk << " sample " << i;
+    }
+  }
 }
 
 TEST(Mobility, RmsAccelerationMatchesPaperReadings) {

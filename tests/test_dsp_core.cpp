@@ -93,6 +93,37 @@ TEST(OverlapSave, BlockBoundaryStraddlingLengths) {
   }
 }
 
+TEST(OverlapSave, ConvolveAddIntoAccumulatesEveryBranch) {
+  // The channel's per-block shape (a 480-sample block against impulse
+  // responses of every length class): the direct loop, one transform of
+  // both operands up to kMaxSingleConvFft outputs, and overlap-save beyond
+  // it, with either operand the longer one. The result must ADD onto what
+  // the accumulator held, and leave samples past the output untouched.
+  Workspace ws;
+  for (const auto [nx, nh] :
+       {ConvCase{480, 20}, ConvCase{480, 34}, ConvCase{480, 600},
+        ConvCase{480, 3617}, ConvCase{480, 3618}, ConvCase{480, 9000},
+        ConvCase{9000, 480}, ConvCase{1, 5000}}) {
+    const std::vector<double> x = random_real(nx, 300 + nx);
+    const std::vector<double> h = random_real(nh, 400 + nh);
+    const std::vector<double> base = random_real(nx + nh + 6, 500 + nh);
+    std::vector<double> acc = base;
+    convolve_add_into(x, h, acc, ws);
+    const std::vector<double> conv = direct_convolve(x, h);
+    for (std::size_t i = 0; i < conv.size(); ++i) {
+      ASSERT_NEAR(acc[i], base[i] + conv[i], 1e-9)
+          << nx << "x" << nh << " sample " << i;
+    }
+    for (std::size_t i = conv.size(); i < acc.size(); ++i) {
+      ASSERT_EQ(acc[i], base[i]) << nx << "x" << nh << " tail " << i;
+    }
+  }
+  std::vector<double> short_acc(10);
+  EXPECT_THROW(convolve_add_into(random_real(8, 1), random_real(4, 2),
+                                 short_acc, ws),
+               std::invalid_argument);
+}
+
 TEST(OverlapSave, FilterSameMatchesFreeFunction) {
   Workspace ws;
   const std::vector<double> h = design_bandpass(1000.0, 4000.0, 48000.0, 129);

@@ -318,40 +318,62 @@ TEST(Simd, SdftUpdateBitIdenticalAcrossTargetsAndCorrect) {
   }
 }
 
-TEST(Simd, ButterflyBitIdenticalAcrossTargetsAndCorrect) {
-  const simd::Kernels* scalar = simd::kernels_for(simd::Isa::kScalar);
-  ASSERT_NE(scalar, nullptr);
-  for (const std::size_t n : kKernelSizes) {
-    const std::vector<cplx> a0 = random_cplx(n, 1100 + n);
-    const std::vector<cplx> b0 = random_cplx(n, 1200 + n);
-    const std::vector<cplx> w = random_cplx(n, 1300 + n);
-    for (const bool conj_w : {false, true}) {
-      std::vector<cplx> ra = a0, rb = b0;
-      scalar->butterfly(ra.data(), rb.data(), w.data(), n, conj_w);
-      // The contract: v = b*w (historical std::complex product tree),
-      // a' = a + v, b' = a - v. Must be EXACT — the double FFT's outputs
-      // are pinned to the scalar era through this tree.
-      for (std::size_t i = 0; i < n; ++i) {
-        const cplx wi = conj_w ? std::conj(w[i]) : w[i];
-        const cplx v(b0[i].real() * wi.real() - b0[i].imag() * wi.imag(),
-                     b0[i].real() * wi.imag() + b0[i].imag() * wi.real());
-        EXPECT_EQ(ra[i].real(), (a0[i] + v).real()) << "element " << i;
-        EXPECT_EQ(ra[i].imag(), (a0[i] + v).imag()) << "element " << i;
-        EXPECT_EQ(rb[i].real(), (a0[i] - v).real()) << "element " << i;
-        EXPECT_EQ(rb[i].imag(), (a0[i] - v).imag()) << "element " << i;
-      }
-      for (const simd::Kernels* k : runnable_targets()) {
-        std::vector<cplx> ga = a0, gb = b0;
-        k->butterfly(ga.data(), gb.data(), w.data(), n, conj_w);
-        for (std::size_t i = 0; i < n; ++i) {
-          EXPECT_EQ(ga[i].real(), ra[i].real()) << k->name << " elem " << i;
-          EXPECT_EQ(ga[i].imag(), ra[i].imag()) << k->name << " elem " << i;
-          EXPECT_EQ(gb[i].real(), rb[i].real()) << k->name << " elem " << i;
-          EXPECT_EQ(gb[i].imag(), rb[i].imag()) << k->name << " elem " << i;
+// The stage kernel's contract, evaluated block by block straight from the
+// documented tree: v = b*w (historical std::complex product, unfused),
+// a' = a + v, b' = a - v.
+template <typename T>
+std::vector<std::complex<T>> reference_stage(
+    std::vector<std::complex<T>> x, const std::vector<std::complex<T>>& w,
+    std::size_t half, bool conj_w) {
+  for (std::size_t start = 0; start < x.size(); start += 2 * half) {
+    for (std::size_t i = 0; i < half; ++i) {
+      const std::complex<T> wi = conj_w ? std::conj(w[i]) : w[i];
+      const std::complex<T> a = x[start + i];
+      const std::complex<T> b = x[start + half + i];
+      const std::complex<T> v(b.real() * wi.real() - b.imag() * wi.imag(),
+                              b.real() * wi.imag() + b.imag() * wi.real());
+      x[start + i] = a + v;
+      x[start + half + i] = a - v;
+    }
+  }
+  return x;
+}
+
+// Every stage (half = 1 ... m/2) of every power-of-two size m = 2 ... 4096:
+// the small-half stages take the packed-pair paths of the vector targets,
+// the large ones the dense per-block loops. Results must be EXACT — the
+// double FFT's outputs are pinned to the scalar era through this tree.
+template <typename T, typename Gen, typename Run>
+void check_butterfly_stages(Gen gen, Run run, std::uint64_t seed) {
+  for (std::size_t m = 2; m <= 4096; m *= 2) {
+    for (std::size_t half = 1; half < m; half *= 2) {
+      const auto x0 = gen(m, seed + m + half);
+      const auto w = gen(half, seed + 7 * m + half);
+      for (const bool conj_w : {false, true}) {
+        const auto want = reference_stage<T>(x0, w, half, conj_w);
+        for (const simd::Kernels* k : runnable_targets()) {
+          auto got = x0;
+          run(*k, got.data(), w.data(), m, half, conj_w);
+          for (std::size_t i = 0; i < m; ++i) {
+            ASSERT_EQ(got[i].real(), want[i].real())
+                << k->name << " m " << m << " half " << half << " conj "
+                << conj_w << " elem " << i;
+            ASSERT_EQ(got[i].imag(), want[i].imag())
+                << k->name << " m " << m << " half " << half << " conj "
+                << conj_w << " elem " << i;
+          }
         }
       }
     }
   }
+}
+
+TEST(Simd, ButterflyBitIdenticalAcrossTargetsAndCorrect) {
+  check_butterfly_stages<double>(
+      random_cplx,
+      [](const simd::Kernels& k, cplx* x, const cplx* w, std::size_t m,
+         std::size_t half, bool conj_w) { k.butterfly(x, w, m, half, conj_w); },
+      1100);
 }
 
 // --- Single-precision kernel twins: same contracts at 2x the lanes. ------
@@ -466,36 +488,13 @@ TEST(Simd, SdftUpdateFloatBitIdenticalAcrossTargetsAndCorrect) {
 }
 
 TEST(Simd, ButterflyFloatBitIdenticalAcrossTargetsAndCorrect) {
-  const simd::Kernels* scalar = simd::kernels_for(simd::Isa::kScalar);
-  ASSERT_NE(scalar, nullptr);
-  for (const std::size_t n : kKernelSizes) {
-    const std::vector<cplxf> a0 = random_cplxf(n, 2100 + n);
-    const std::vector<cplxf> b0 = random_cplxf(n, 2200 + n);
-    const std::vector<cplxf> w = random_cplxf(n, 2300 + n);
-    for (const bool conj_w : {false, true}) {
-      std::vector<cplxf> ra = a0, rb = b0;
-      scalar->butterfly_f(ra.data(), rb.data(), w.data(), n, conj_w);
-      for (std::size_t i = 0; i < n; ++i) {
-        const cplxf wi = conj_w ? std::conj(w[i]) : w[i];
-        const cplxf v(b0[i].real() * wi.real() - b0[i].imag() * wi.imag(),
-                      b0[i].real() * wi.imag() + b0[i].imag() * wi.real());
-        EXPECT_EQ(ra[i].real(), (a0[i] + v).real()) << "element " << i;
-        EXPECT_EQ(ra[i].imag(), (a0[i] + v).imag()) << "element " << i;
-        EXPECT_EQ(rb[i].real(), (a0[i] - v).real()) << "element " << i;
-        EXPECT_EQ(rb[i].imag(), (a0[i] - v).imag()) << "element " << i;
-      }
-      for (const simd::Kernels* k : runnable_targets()) {
-        std::vector<cplxf> ga = a0, gb = b0;
-        k->butterfly_f(ga.data(), gb.data(), w.data(), n, conj_w);
-        for (std::size_t i = 0; i < n; ++i) {
-          EXPECT_EQ(ga[i].real(), ra[i].real()) << k->name << " elem " << i;
-          EXPECT_EQ(ga[i].imag(), ra[i].imag()) << k->name << " elem " << i;
-          EXPECT_EQ(gb[i].real(), rb[i].real()) << k->name << " elem " << i;
-          EXPECT_EQ(gb[i].imag(), rb[i].imag()) << k->name << " elem " << i;
-        }
-      }
-    }
-  }
+  check_butterfly_stages<float>(
+      random_cplxf,
+      [](const simd::Kernels& k, cplxf* x, const cplxf* w, std::size_t m,
+         std::size_t half, bool conj_w) {
+        k.butterfly_f(x, w, m, half, conj_w);
+      },
+      2100);
 }
 
 }  // namespace
