@@ -181,7 +181,7 @@ std::vector<double> UnderwaterChannel::transmit(std::span<const double> tx,
             out.begin() + static_cast<std::ptrdiff_t>(lead + s.pad_));
   out.resize(out.size() + tail, 0.0);
 
-  if (noise_) noise_->add_to(out);
+  if (noise_) noise_->add_to(out, ws);
   time_s_ += static_cast<double>(out.size()) / fs;
   return out;
 }

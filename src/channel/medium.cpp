@@ -193,10 +193,10 @@ void AcousticMedium::evaluate_culling(double now_s) {
 }
 
 void AcousticMedium::fill_mic(std::size_t m, std::vector<double>& dst,
-                              std::size_t n) {
+                              std::size_t n, dsp::Workspace& ws) {
   if (mics_[m]) {
     dst.resize(n);
-    mics_[m]->generate_into(dst);
+    mics_[m]->generate_into(dst, ws);
   } else {
     dst.assign(n, 0.0);
   }
@@ -268,15 +268,15 @@ void AcousticMedium::step(const std::vector<std::span<const double>>& tx,
   const int workers = pool_->workers();
   pool_->run([&](int w) {
     try {
+      dsp::Workspace& worker_ws = w == 0 ? ws : pool_->workspace(w);
       for (std::size_t m = static_cast<std::size_t>(w); m < eps;
            m += static_cast<std::size_t>(workers)) {
-        fill_mic(m, rx[m], n);
+        fill_mic(m, rx[m], n, worker_ws);
         if (config_.cull_enabled) {
           observed_peak_[m] = std::max(observed_peak_[m], block_peak(tx[m]));
         }
         noise_ready_[m].store(seq, std::memory_order_release);
       }
-      dsp::Workspace& worker_ws = w == 0 ? ws : pool_->workspace(w);
       for (const auto& s : slots_) {
         if (s->audible && s->owner == w) {
           render_slot(*s, tx[static_cast<std::size_t>(s->from)], worker_ws,

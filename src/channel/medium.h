@@ -168,7 +168,8 @@ class AcousticMedium {
                    dsp::Workspace& ws, int worker);
   void mix(std::vector<std::vector<double>>& rx, std::size_t n,
            std::uint64_t seq);
-  void fill_mic(std::size_t m, std::vector<double>& dst, std::size_t n);
+  void fill_mic(std::size_t m, std::vector<double>& dst, std::size_t n,
+                dsp::Workspace& ws);
 
   double fs_;
   MediumConfig config_;

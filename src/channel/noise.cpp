@@ -60,7 +60,6 @@ struct NoiseGenerator::Coloring {
 
   dsp::FftFilter filter;
   dsp::FftFilter::Stream stream;
-  dsp::Workspace ws;  ///< scratch of stream.push, private to this generator
 };
 
 NoiseGenerator::NoiseGenerator(const NoiseParams& params,
@@ -120,11 +119,10 @@ double NoiseGenerator::psd_one_sided(double freq_hz) const {
 // block's floor Gaussians come off rng_ in sample order, then the burst
 // process draws from burst_rng_ sample by sample, exactly as a generator
 // producing one sample at a time would.
-void NoiseGenerator::refill() {
-  Coloring& c = *coloring_;
+void NoiseGenerator::refill(dsp::Workspace& ws) {
   for (double& v : white_) v = gauss_(rng_);
   block_.clear();
-  c.stream.push(white_, block_, c.ws);  // exactly one step out per step in
+  coloring_->stream.push(white_, block_, ws);  // one step out per step in
   add_bursts(block_);
   add_tones(block_);
   block_pos_ = 0;
@@ -200,10 +198,11 @@ void NoiseGenerator::add_tones(std::span<double> block) {
 }
 
 template <typename Op>
-void NoiseGenerator::drain(std::span<double> out, Op op) {
+void NoiseGenerator::drain(std::span<double> out, dsp::Workspace& ws,
+                           Op op) {
   std::size_t done = 0;
   while (done < out.size()) {
-    if (block_pos_ == block_.size()) refill();
+    if (block_pos_ == block_.size()) refill(ws);
     const std::size_t take =
         std::min(out.size() - done, block_.size() - block_pos_);
     op(out.subspan(done, take),
@@ -213,21 +212,23 @@ void NoiseGenerator::drain(std::span<double> out, Op op) {
   }
 }
 
-void NoiseGenerator::generate_into(std::span<double> out) {
-  drain(out, [](std::span<double> dst, std::span<const double> src) {
+void NoiseGenerator::generate_into(std::span<double> out,
+                                   dsp::Workspace& ws) {
+  drain(out, ws, [](std::span<double> dst, std::span<const double> src) {
     std::copy(src.begin(), src.end(), dst.begin());
   });
 }
 
-void NoiseGenerator::add_to(std::span<double> out) {
-  drain(out, [](std::span<double> dst, std::span<const double> src) {
+void NoiseGenerator::add_to(std::span<double> out, dsp::Workspace& ws) {
+  drain(out, ws, [](std::span<double> dst, std::span<const double> src) {
     for (std::size_t i = 0; i < dst.size(); ++i) dst[i] += src[i];
   });
 }
 
 std::vector<double> NoiseGenerator::generate(std::size_t n) {
   std::vector<double> out(n);
-  generate_into(out);
+  dsp::Workspace ws;
+  generate_into(out, ws);
   return out;
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "dsp/types.h"
+#include "dsp/workspace.h"
 
 namespace aqua::channel {
 
@@ -48,8 +49,9 @@ double noise_floor_rms(const NoiseParams& p);
 /// exact phase at every refill. Every random draw happens in the same
 /// order as in a sample-by-sample generator, so the realization depends on
 /// the seed alone and only floating-point rounding differs from one.
-/// After the first refill no call allocates (generate() itself returns a
-/// fresh vector; the _into forms write caller buffers).
+/// A refill leases its FFT scratch from the caller's arena (the one arena
+/// rule); once that arena is warm, generate_into() and add_to() do not
+/// allocate. generate() is the allocating convenience form.
 class NoiseGenerator {
  public:
   NoiseGenerator(const NoiseParams& params, double sample_rate_hz,
@@ -58,14 +60,16 @@ class NoiseGenerator {
   NoiseGenerator(NoiseGenerator&&) noexcept;
   NoiseGenerator& operator=(NoiseGenerator&&) noexcept;
 
-  /// Produces the next `n` samples of ambient noise.
+  /// Produces the next `n` samples of ambient noise (a fresh vector; the
+  /// refills lease from a call-local arena).
   std::vector<double> generate(std::size_t n);
 
-  /// Writes the next out.size() samples into `out`.
-  void generate_into(std::span<double> out);
+  /// Writes the next out.size() samples into `out`; refills lease from `ws`.
+  void generate_into(std::span<double> out, dsp::Workspace& ws);
 
-  /// Adds the next out.size() samples onto `out` (out[i] += noise).
-  void add_to(std::span<double> out);
+  /// Adds the next out.size() samples onto `out` (out[i] += noise); refills
+  /// lease from `ws`.
+  void add_to(std::span<double> out, dsp::Workspace& ws);
 
   /// Samples rendered per internal refill (the coloring stream's step).
   std::size_t refill_step() const;
@@ -83,13 +87,13 @@ class NoiseGenerator {
   const NoiseParams& params() const { return params_; }
 
  private:
-  struct Coloring;  ///< FFT engine, its stream and the stream's arena
+  struct Coloring;  ///< FFT engine and its overlap-save stream
 
-  void refill();
+  void refill(dsp::Workspace& ws);
   void add_bursts(std::span<double> block);
   void add_tones(std::span<double> block);
   template <typename Op>
-  void drain(std::span<double> out, Op op);
+  void drain(std::span<double> out, dsp::Workspace& ws, Op op);
 
   NoiseParams params_;
   double sample_rate_hz_;

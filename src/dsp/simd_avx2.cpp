@@ -286,29 +286,6 @@ void avx2_butterfly_f(cplxf* data, const cplxf* w, std::size_t m,
     }
     return;
   }
-  if (half == 2) {
-    // One block per vector ([a0 a1 b0 b1]): two blocks' a-halves and
-    // b-halves make one vector each, against [w0 w1 w0 w1].
-    const __m256 wv = _mm256_xor_ps(
-        _mm256_broadcast_ps(reinterpret_cast<const __m128*>(wf)), conj_mask);
-    for (std::size_t k = 0; k < m8; k += 8) {
-      const __m256 p0 = _mm256_loadu_ps(f + 2 * k);
-      const __m256 p1 = _mm256_loadu_ps(f + 2 * k + 8);
-      const __m256 av = _mm256_permute2f128_ps(p0, p1, 0x20);
-      const __m256 bv = _mm256_permute2f128_ps(p0, p1, 0x31);
-      const __m256 v = avx2_legacy_cmul_f(bv, wv);
-      const __m256 sum = _mm256_add_ps(av, v);
-      const __m256 dif = _mm256_sub_ps(av, v);
-      _mm256_storeu_ps(f + 2 * k, _mm256_permute2f128_ps(sum, dif, 0x20));
-      _mm256_storeu_ps(f + 2 * k + 8, _mm256_permute2f128_ps(sum, dif, 0x31));
-    }
-    for (std::size_t k = m8; k < m; k += 4) {
-      for (std::size_t i = 0; i < 2; ++i) {
-        avx2_butterfly_one_f(data[k + i], data[k + 2 + i], w[i], s);
-      }
-    }
-    return;
-  }
   const std::size_t n4 = half & ~std::size_t{3};  // four complex per vector
   for (std::size_t start = 0; start < m; start += 2 * half) {
     float* af = f + 2 * start;

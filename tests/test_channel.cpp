@@ -310,8 +310,9 @@ TEST(Noise, FftRendererMatchesSampleBySampleOracle) {
     OracleNoise oracle(np, kFs, 4242, gen.shaping_taps());
     const std::vector<double> want = oracle.generate(kTotal);
     std::vector<double> got(kTotal);
+    dsp::Workspace ws;
     for (std::size_t i = 0; i < kTotal; i += kBlock) {
-      gen.generate_into(std::span<double>(got).subspan(i, kBlock));
+      gen.generate_into(std::span<double>(got).subspan(i, kBlock), ws);
     }
     double max_err = 0.0;
     for (std::size_t i = 0; i < kTotal; ++i) {
@@ -334,6 +335,10 @@ TEST(Noise, ChunkingInvariantAcrossRefillBoundaries) {
         step + 1, std::size_t{10000}}) {
     NoiseGenerator gen(np, 48000.0, 99);
     std::vector<double> got(kTotal, 0.0);
+    // Each mode leases from its own arena, and the reference used a
+    // call-local one: the output must not depend on which arena a refill
+    // borrowed.
+    dsp::Workspace ws_write, ws_add;
     bool add = false;
     for (std::size_t i = 0; i < kTotal; i += chunk) {
       const std::span<double> part =
@@ -341,9 +346,9 @@ TEST(Noise, ChunkingInvariantAcrossRefillBoundaries) {
       // Alternate the two write modes: adding onto zeros must equal
       // writing.
       if (add) {
-        gen.add_to(part);
+        gen.add_to(part, ws_add);
       } else {
-        gen.generate_into(part);
+        gen.generate_into(part, ws_write);
       }
       add = !add;
     }

@@ -341,29 +341,46 @@ std::vector<std::complex<T>> reference_stage(
 
 // Every stage (half = 1 ... m/2) of every power-of-two size m = 2 ... 4096:
 // the small-half stages take the packed-pair paths of the vector targets,
-// the large ones the dense per-block loops. Results must be EXACT — the
-// double FFT's outputs are pinned to the scalar era through this tree.
+// the large ones the dense per-block loops. The contract allows any half
+// with m a multiple of 2*half, so odd halves (1, 3, 5, ..., 61) over 1, 3
+// and 7 blocks also run, reaching every tail: the leftover pairs of the
+// packed half == 1 paths and the scalar remainder of each vector block.
+// Results must be EXACT — the double FFT's outputs are pinned to the
+// scalar era through this tree.
+template <typename T, typename Gen, typename Run>
+void check_butterfly_stage(Gen gen, Run run, std::size_t m, std::size_t half,
+                           std::uint64_t seed) {
+  const auto x0 = gen(m, seed + m + half);
+  const auto w = gen(half, seed + 7 * m + half);
+  for (const bool conj_w : {false, true}) {
+    const auto want = reference_stage<T>(x0, w, half, conj_w);
+    for (const simd::Kernels* k : runnable_targets()) {
+      auto got = x0;
+      run(*k, got.data(), w.data(), m, half, conj_w);
+      for (std::size_t i = 0; i < m; ++i) {
+        ASSERT_EQ(got[i].real(), want[i].real())
+            << k->name << " m " << m << " half " << half << " conj "
+            << conj_w << " elem " << i;
+        ASSERT_EQ(got[i].imag(), want[i].imag())
+            << k->name << " m " << m << " half " << half << " conj "
+            << conj_w << " elem " << i;
+      }
+    }
+  }
+}
+
 template <typename T, typename Gen, typename Run>
 void check_butterfly_stages(Gen gen, Run run, std::uint64_t seed) {
   for (std::size_t m = 2; m <= 4096; m *= 2) {
     for (std::size_t half = 1; half < m; half *= 2) {
-      const auto x0 = gen(m, seed + m + half);
-      const auto w = gen(half, seed + 7 * m + half);
-      for (const bool conj_w : {false, true}) {
-        const auto want = reference_stage<T>(x0, w, half, conj_w);
-        for (const simd::Kernels* k : runnable_targets()) {
-          auto got = x0;
-          run(*k, got.data(), w.data(), m, half, conj_w);
-          for (std::size_t i = 0; i < m; ++i) {
-            ASSERT_EQ(got[i].real(), want[i].real())
-                << k->name << " m " << m << " half " << half << " conj "
-                << conj_w << " elem " << i;
-            ASSERT_EQ(got[i].imag(), want[i].imag())
-                << k->name << " m " << m << " half " << half << " conj "
-                << conj_w << " elem " << i;
-          }
-        }
-      }
+      check_butterfly_stage<T>(gen, run, m, half, seed);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  for (const std::size_t half : {1, 2, 3, 5, 6, 7, 9, 17, 61}) {
+    for (const std::size_t blocks : {1, 3, 7}) {
+      check_butterfly_stage<T>(gen, run, 2 * half * blocks, half, seed);
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
 }
