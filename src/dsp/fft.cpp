@@ -1,12 +1,10 @@
 #include "dsp/fft.h"
 
 #include <algorithm>
-#include <memory>
-#include <mutex>
-#include <shared_mutex>
+#include <cmath>
 #include <stdexcept>
-#include <unordered_map>
 
+#include "dsp/plan_cache.h"
 #include "dsp/simd.h"
 
 namespace aqua::dsp {
@@ -22,6 +20,18 @@ bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 template <typename T>
 std::complex<T> round_to(const cplx& v) {
   return {static_cast<T>(v.real()), static_cast<T>(v.imag())};
+}
+
+// (xr + j xi) * w with the std::complex product's operations: (ac - bd,
+// ad + bc), and the library's Annex G recovery (the C complex multiply
+// routine) only when both parts come out NaN, as the std::complex operator
+// does, so results match it bit for bit on every input.
+template <typename T>
+std::complex<T> chirp_product(T xr, T xi, const std::complex<T>& w) {
+  const T re = xr * w.real() - xi * w.imag();
+  const T im = xr * w.imag() + xi * w.real();
+  if (std::isnan(re) && std::isnan(im)) return std::complex<T>{xr, xi} * w;
+  return {re, im};
 }
 
 }  // namespace
@@ -125,12 +135,15 @@ void BasicFftPlan<T>::transform(std::span<const C> in, std::span<C> out,
     return;
   }
   // Bluestein: X[k] = conj-chirp convolution. For the inverse transform we
-  // conjugate input and output of the forward machinery.
+  // conjugate input and output of the forward machinery. The chirp loops
+  // are spelled in real arithmetic for the reason given in the untwiddle
+  // of BasicRfftPlan::forward; chirp_product keeps the std::complex
+  // product's exact results.
   Scratch<C> a_s(ws, m_);
   std::span<C> a = a_s.span();
   for (std::size_t k = 0; k < n_; ++k) {
-    const C x = invert ? std::conj(in[k]) : in[k];
-    a[k] = x * chirp_[k];
+    const T xi = invert ? -in[k].imag() : in[k].imag();
+    a[k] = chirp_product(in[k].real(), xi, chirp_[k]);
   }
   std::fill(a.begin() + static_cast<std::ptrdiff_t>(n_), a.end(), C{});
   radix2(a, /*invert=*/false);
@@ -138,8 +151,9 @@ void BasicFftPlan<T>::transform(std::span<const C> in, std::span<C> out,
   radix2(a, /*invert=*/true);
   const T scale = T(1.0) / static_cast<T>(m_);
   for (std::size_t k = 0; k < n_; ++k) {
-    C y = a[k] * scale * chirp_[k];
-    out[k] = invert ? std::conj(y) : y;
+    const C y =
+        chirp_product(a[k].real() * scale, a[k].imag() * scale, chirp_[k]);
+    out[k] = {y.real(), invert ? -y.imag() : y.imag()};
   }
 }
 
@@ -296,46 +310,6 @@ template class BasicFftPlan<double>;
 template class BasicFftPlan<float>;
 template class BasicRfftPlan<double>;
 template class BasicRfftPlan<float>;
-
-namespace {
-
-// Shared two-level plan cache: a thread-local pointer map so steady-state
-// lookups touch no shared state at all, over a shared_mutex-guarded global
-// map. Plans are never evicted, so the cached pointers stay valid for the
-// process lifetime. One instantiation per plan type keeps the
-// locking-sensitive code in exactly one place.
-template <typename Plan>
-// lint: hot-alloc-ok(two-level plan cache: allocates only on first sight of an FFT size, then serves lock-free thread-local hits)
-const Plan& cached_plan_of(std::size_t n) {
-  thread_local std::unordered_map<std::size_t, const Plan*> local;
-  if (const auto it = local.find(n); it != local.end()) return *it->second;
-
-  static std::shared_mutex mu;
-  static std::unordered_map<std::size_t, std::unique_ptr<Plan>>* global =
-      // lint: alloc-ok(intentionally leaked process-lifetime cache; sidesteps static-destruction order races with worker threads)
-      new std::unordered_map<std::size_t, std::unique_ptr<Plan>>();
-  {
-    std::shared_lock<std::shared_mutex> read(mu);
-    if (const auto it = global->find(n); it != global->end()) {
-      local.emplace(n, it->second.get());
-      return *it->second;
-    }
-  }
-  std::unique_lock<std::shared_mutex> write(mu);
-  auto it = global->find(n);
-  if (it == global->end()) {
-    // Construct before inserting: if the plan constructor throws (n == 0),
-    // the map must stay unchanged so the next lookup throws again instead
-    // of finding a null entry.
-    // lint: alloc-ok(plan built once per FFT size under the write lock)
-    auto plan = std::make_unique<Plan>(n);
-    it = global->emplace(n, std::move(plan)).first;
-  }
-  local.emplace(n, it->second.get());
-  return *it->second;
-}
-
-}  // namespace
 
 template <typename T>
 const BasicFftPlan<T>& plan_of(std::size_t n) {

@@ -71,32 +71,14 @@ float scalar_dot_f(const float* a, const float* b, std::size_t n) {
          ((lane[4] + lane[5]) + (lane[6] + lane[7]));
 }
 
-void scalar_sdft_update(double* acc_re, double* acc_im, std::uint32_t* phase,
-                        const std::uint32_t* step, const double* tab_re,
-                        const double* tab_im, double d, std::size_t bins,
-                        std::uint32_t period) {
-  for (std::size_t k = 0; k < bins; ++k) {
-    const std::uint32_t p = phase[k];
-    acc_re[k] = std::fma(d, tab_re[p], acc_re[k]);
-    acc_im[k] = std::fma(d, tab_im[p], acc_im[k]);
-    std::uint32_t next = p + step[k];
-    if (next >= period) next -= period;
-    phase[k] = next;
-  }
+void scalar_sdft_update(double* acc, const double* row, double d,
+                        std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) acc[i] = std::fma(d, row[i], acc[i]);
 }
 
-void scalar_sdft_update_f(float* acc_re, float* acc_im, std::uint32_t* phase,
-                          const std::uint32_t* step, const float* tab_re,
-                          const float* tab_im, float d, std::size_t bins,
-                          std::uint32_t period) {
-  for (std::size_t k = 0; k < bins; ++k) {
-    const std::uint32_t p = phase[k];
-    acc_re[k] = std::fma(d, tab_re[p], acc_re[k]);
-    acc_im[k] = std::fma(d, tab_im[p], acc_im[k]);
-    std::uint32_t next = p + step[k];
-    if (next >= period) next -= period;
-    phase[k] = next;
-  }
+void scalar_sdft_update_f(float* acc, const float* row, float d,
+                          std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) acc[i] = std::fma(d, row[i], acc[i]);
 }
 
 // One butterfly stage, block by block (the scalar reference for both

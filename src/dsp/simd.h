@@ -11,9 +11,10 @@
 //     and of every Bluestein transform.
 //   * `dot` — the FIR dot product: `StreamingFir::process`, the preamble
 //     sliding segment metric, and short-template direct correlation.
-//   * `sdft_update` — the sliding-DFT bin update: one fused
-//     multiply-accumulate per active bin per sample in
-//     `moving_dft_power`'s running recurrence.
+//   * `sdft_update` — the sliding-DFT row update: one fused
+//     multiply-accumulate per running-sum component per sample in
+//     `moving_dft_power`'s recurrence, a contiguous axpy against one row
+//     of the per-numerology phasor table (no gathers, no phase lanes).
 //   * `butterfly` — one whole radix-2 FFT butterfly stage: twiddle
 //     multiply plus add/sub over every half-block pair of the stage, the
 //     inner loop of every power-of-two transform.
@@ -40,7 +41,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 #include "dsp/types.h"
 
@@ -68,15 +68,12 @@ struct Kernels {
   /// (l0 + l1) + (l2 + l3). Identical tree on every target.
   double (*dot)(const double* a, const double* b, std::size_t n);
 
-  /// Sliding-DFT bin update for `bins` bins: per bin k,
-  ///   acc_re[k] = fma(d, tab_re[phase[k]], acc_re[k])
-  ///   acc_im[k] = fma(d, tab_im[phase[k]], acc_im[k])
-  ///   phase[k] = phase[k] + step[k], wrapped once into [0, period).
-  /// Requires phase[k] < period, step[k] < period, period < 2^31.
-  void (*sdft_update)(double* acc_re, double* acc_im, std::uint32_t* phase,
-                      const std::uint32_t* step, const double* tab_re,
-                      const double* tab_im, double d, std::size_t bins,
-                      std::uint32_t period);
+  /// Sliding-DFT row update: acc[i] = fma(d, row[i], acc[i]) for i < n.
+  /// `moving_dft_power` keeps every bin's running sum as one [re | im]
+  /// array and passes the matching row of its phasor table
+  /// (dsp::SlidingDftTable), so one call advances every bin by one sample.
+  void (*sdft_update)(double* acc, const double* row, double d,
+                      std::size_t n);
 
   /// One whole radix-2 butterfly stage over `m` points with half-block
   /// `half` (m a multiple of 2 * half): for every block start
@@ -98,10 +95,8 @@ struct Kernels {
   /// the ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)) reduction).
   void (*cmul_inplace_f)(cplxf* y, const cplxf* x, std::size_t n);
   float (*dot_f)(const float* a, const float* b, std::size_t n);
-  void (*sdft_update_f)(float* acc_re, float* acc_im, std::uint32_t* phase,
-                        const std::uint32_t* step, const float* tab_re,
-                        const float* tab_im, float d, std::size_t bins,
-                        std::uint32_t period);
+  void (*sdft_update_f)(float* acc, const float* row, float d,
+                        std::size_t n);
   void (*butterfly_f)(cplxf* data, const cplxf* w, std::size_t m,
                       std::size_t half, bool conj_w);
 };
@@ -144,18 +139,13 @@ inline float dot(const Kernels& k, const float* a, const float* b,
   return k.dot_f(a, b, n);
 }
 
-inline void sdft_update(const Kernels& k, double* acc_re, double* acc_im,
-                        std::uint32_t* phase, const std::uint32_t* step,
-                        const double* tab_re, const double* tab_im, double d,
-                        std::size_t bins, std::uint32_t period) {
-  k.sdft_update(acc_re, acc_im, phase, step, tab_re, tab_im, d, bins, period);
+inline void sdft_update(const Kernels& k, double* acc, const double* row,
+                        double d, std::size_t n) {
+  k.sdft_update(acc, row, d, n);
 }
-inline void sdft_update(const Kernels& k, float* acc_re, float* acc_im,
-                        std::uint32_t* phase, const std::uint32_t* step,
-                        const float* tab_re, const float* tab_im, float d,
-                        std::size_t bins, std::uint32_t period) {
-  k.sdft_update_f(acc_re, acc_im, phase, step, tab_re, tab_im, d, bins,
-                  period);
+inline void sdft_update(const Kernels& k, float* acc, const float* row,
+                        float d, std::size_t n) {
+  k.sdft_update_f(acc, row, d, n);
 }
 
 inline void butterfly(const Kernels& k, cplx* data, const cplx* w,

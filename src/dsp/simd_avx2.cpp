@@ -53,38 +53,16 @@ double avx2_dot(const double* a, const double* b, std::size_t n) {
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
 }
 
-void avx2_sdft_update(double* acc_re, double* acc_im, std::uint32_t* phase,
-                      const std::uint32_t* step, const double* tab_re,
-                      const double* tab_im, double d, std::size_t bins,
-                      std::uint32_t period) {
+void avx2_sdft_update(double* acc, const double* row, double d,
+                      std::size_t n) {
   const __m256d dv = _mm256_set1_pd(d);
-  const __m128i per = _mm_set1_epi32(static_cast<int>(period));
-  const std::size_t b4 = bins & ~std::size_t{3};
-  for (std::size_t k = 0; k < b4; k += 4) {
-    const __m128i ph =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(phase + k));
-    const __m256d tre = _mm256_i32gather_pd(tab_re, ph, 8);
-    const __m256d tim = _mm256_i32gather_pd(tab_im, ph, 8);
-    _mm256_storeu_pd(acc_re + k,
-                     _mm256_fmadd_pd(dv, tre, _mm256_loadu_pd(acc_re + k)));
-    _mm256_storeu_pd(acc_im + k,
-                     _mm256_fmadd_pd(dv, tim, _mm256_loadu_pd(acc_im + k)));
-    // phase += step, wrapped once into [0, period) via an unsigned compare
-    // (max_epu32(p, period) == p  <=>  p >= period).
-    __m128i next = _mm_add_epi32(
-        ph, _mm_loadu_si128(reinterpret_cast<const __m128i*>(step + k)));
-    const __m128i ge =
-        _mm_cmpeq_epi32(_mm_max_epu32(next, per), next);
-    next = _mm_sub_epi32(next, _mm_and_si128(ge, per));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(phase + k), next);
+  const std::size_t n4 = n & ~std::size_t{3};
+  for (std::size_t i = 0; i < n4; i += 4) {
+    _mm256_storeu_pd(acc + i, _mm256_fmadd_pd(dv, _mm256_loadu_pd(row + i),
+                                              _mm256_loadu_pd(acc + i)));
   }
-  for (std::size_t k = b4; k < bins; ++k) {
-    const std::uint32_t p = phase[k];
-    acc_re[k] = __builtin_fma(d, tab_re[p], acc_re[k]);
-    acc_im[k] = __builtin_fma(d, tab_im[p], acc_im[k]);
-    std::uint32_t next = p + step[k];
-    if (next >= period) next -= period;
-    phase[k] = next;
+  for (std::size_t i = n4; i < n; ++i) {
+    acc[i] = __builtin_fma(d, row[i], acc[i]);
   }
 }
 
@@ -198,35 +176,16 @@ float avx2_dot_f(const float* a, const float* b, std::size_t n) {
          ((lane[4] + lane[5]) + (lane[6] + lane[7]));
 }
 
-void avx2_sdft_update_f(float* acc_re, float* acc_im, std::uint32_t* phase,
-                        const std::uint32_t* step, const float* tab_re,
-                        const float* tab_im, float d, std::size_t bins,
-                        std::uint32_t period) {
+void avx2_sdft_update_f(float* acc, const float* row, float d,
+                        std::size_t n) {
   const __m256 dv = _mm256_set1_ps(d);
-  const __m256i per = _mm256_set1_epi32(static_cast<int>(period));
-  const std::size_t b8 = bins & ~std::size_t{7};
-  for (std::size_t k = 0; k < b8; k += 8) {
-    const __m256i ph =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(phase + k));
-    const __m256 tre = _mm256_i32gather_ps(tab_re, ph, 4);
-    const __m256 tim = _mm256_i32gather_ps(tab_im, ph, 4);
-    _mm256_storeu_ps(acc_re + k,
-                     _mm256_fmadd_ps(dv, tre, _mm256_loadu_ps(acc_re + k)));
-    _mm256_storeu_ps(acc_im + k,
-                     _mm256_fmadd_ps(dv, tim, _mm256_loadu_ps(acc_im + k)));
-    __m256i next = _mm256_add_epi32(
-        ph, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(step + k)));
-    const __m256i ge = _mm256_cmpeq_epi32(_mm256_max_epu32(next, per), next);
-    next = _mm256_sub_epi32(next, _mm256_and_si256(ge, per));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(phase + k), next);
+  const std::size_t n8 = n & ~std::size_t{7};
+  for (std::size_t i = 0; i < n8; i += 8) {
+    _mm256_storeu_ps(acc + i, _mm256_fmadd_ps(dv, _mm256_loadu_ps(row + i),
+                                              _mm256_loadu_ps(acc + i)));
   }
-  for (std::size_t k = b8; k < bins; ++k) {
-    const std::uint32_t p = phase[k];
-    acc_re[k] = __builtin_fmaf(d, tab_re[p], acc_re[k]);
-    acc_im[k] = __builtin_fmaf(d, tab_im[p], acc_im[k]);
-    std::uint32_t next = p + step[k];
-    if (next >= period) next -= period;
-    phase[k] = next;
+  for (std::size_t i = n8; i < n; ++i) {
+    acc[i] = __builtin_fmaf(d, row[i], acc[i]);
   }
 }
 

@@ -49,36 +49,13 @@ double neon_dot(const double* a, const double* b, std::size_t n) {
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
 }
 
-void neon_sdft_update(double* acc_re, double* acc_im, std::uint32_t* phase,
-                      const std::uint32_t* step, const double* tab_re,
-                      const double* tab_im, double d, std::size_t bins,
-                      std::uint32_t period) {
-  const uint32x4_t per = vdupq_n_u32(period);
-  const std::size_t b4 = bins & ~std::size_t{3};
-  for (std::size_t k = 0; k < b4; k += 4) {
-    const std::uint32_t p0 = phase[k], p1 = phase[k + 1];
-    const std::uint32_t p2 = phase[k + 2], p3 = phase[k + 3];
-    // No gather on NEON: assemble the table pairs lane by lane.
-    const float64x2_t tre01 = {tab_re[p0], tab_re[p1]};
-    const float64x2_t tre23 = {tab_re[p2], tab_re[p3]};
-    const float64x2_t tim01 = {tab_im[p0], tab_im[p1]};
-    const float64x2_t tim23 = {tab_im[p2], tab_im[p3]};
-    vst1q_f64(acc_re + k, vfmaq_n_f64(vld1q_f64(acc_re + k), tre01, d));
-    vst1q_f64(acc_re + k + 2, vfmaq_n_f64(vld1q_f64(acc_re + k + 2), tre23, d));
-    vst1q_f64(acc_im + k, vfmaq_n_f64(vld1q_f64(acc_im + k), tim01, d));
-    vst1q_f64(acc_im + k + 2, vfmaq_n_f64(vld1q_f64(acc_im + k + 2), tim23, d));
-    uint32x4_t next = vaddq_u32(vld1q_u32(phase + k), vld1q_u32(step + k));
-    next = vsubq_u32(next, vandq_u32(vcgeq_u32(next, per), per));
-    vst1q_u32(phase + k, next);
+void neon_sdft_update(double* acc, const double* row, double d,
+                      std::size_t n) {
+  const std::size_t n2 = n & ~std::size_t{1};
+  for (std::size_t i = 0; i < n2; i += 2) {
+    vst1q_f64(acc + i, vfmaq_n_f64(vld1q_f64(acc + i), vld1q_f64(row + i), d));
   }
-  for (std::size_t k = b4; k < bins; ++k) {
-    const std::uint32_t p = phase[k];
-    acc_re[k] = __builtin_fma(d, tab_re[p], acc_re[k]);
-    acc_im[k] = __builtin_fma(d, tab_im[p], acc_im[k]);
-    std::uint32_t next = p + step[k];
-    if (next >= period) next -= period;
-    phase[k] = next;
-  }
+  if (n2 < n) acc[n2] = __builtin_fma(d, row[n2], acc[n2]);
 }
 
 void neon_butterfly(cplx* data, const cplx* w, std::size_t m,
@@ -163,30 +140,14 @@ float neon_dot_f(const float* a, const float* b, std::size_t n) {
          ((lane[4] + lane[5]) + (lane[6] + lane[7]));
 }
 
-void neon_sdft_update_f(float* acc_re, float* acc_im, std::uint32_t* phase,
-                        const std::uint32_t* step, const float* tab_re,
-                        const float* tab_im, float d, std::size_t bins,
-                        std::uint32_t period) {
-  const uint32x4_t per = vdupq_n_u32(period);
-  const std::size_t b4 = bins & ~std::size_t{3};
-  for (std::size_t k = 0; k < b4; k += 4) {
-    const std::uint32_t p0 = phase[k], p1 = phase[k + 1];
-    const std::uint32_t p2 = phase[k + 2], p3 = phase[k + 3];
-    const float32x4_t tre = {tab_re[p0], tab_re[p1], tab_re[p2], tab_re[p3]};
-    const float32x4_t tim = {tab_im[p0], tab_im[p1], tab_im[p2], tab_im[p3]};
-    vst1q_f32(acc_re + k, vfmaq_n_f32(vld1q_f32(acc_re + k), tre, d));
-    vst1q_f32(acc_im + k, vfmaq_n_f32(vld1q_f32(acc_im + k), tim, d));
-    uint32x4_t next = vaddq_u32(vld1q_u32(phase + k), vld1q_u32(step + k));
-    next = vsubq_u32(next, vandq_u32(vcgeq_u32(next, per), per));
-    vst1q_u32(phase + k, next);
+void neon_sdft_update_f(float* acc, const float* row, float d,
+                        std::size_t n) {
+  const std::size_t n4 = n & ~std::size_t{3};
+  for (std::size_t i = 0; i < n4; i += 4) {
+    vst1q_f32(acc + i, vfmaq_n_f32(vld1q_f32(acc + i), vld1q_f32(row + i), d));
   }
-  for (std::size_t k = b4; k < bins; ++k) {
-    const std::uint32_t p = phase[k];
-    acc_re[k] = __builtin_fmaf(d, tab_re[p], acc_re[k]);
-    acc_im[k] = __builtin_fmaf(d, tab_im[p], acc_im[k]);
-    std::uint32_t next = p + step[k];
-    if (next >= period) next -= period;
-    phase[k] = next;
+  for (std::size_t i = n4; i < n; ++i) {
+    acc[i] = __builtin_fmaf(d, row[i], acc[i]);
   }
 }
 

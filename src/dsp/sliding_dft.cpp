@@ -1,9 +1,14 @@
 #include "dsp/sliding_dft.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <stdexcept>
 
 #include "dsp/fft.h"
+#include "dsp/plan_cache.h"
 #include "dsp/simd.h"
 #include "dsp/types.h"
 
@@ -17,135 +22,184 @@ namespace {
 // sample.
 constexpr std::size_t kReaccumulateInterval = 4096;
 
+struct ShapeHash {
+  std::size_t operator()(const SlidingDftShape& s) const {
+    const std::hash<std::size_t> h;
+    return h(s.window) ^ (h(s.first_bin) * 31) ^ (h(s.num_bins) * 1009);
+  }
+};
+
 }  // namespace
+
+template <typename T>
+SlidingDftTable<T>::SlidingDftTable(const SlidingDftShape& shape)
+    : shape_(shape) {
+  const std::size_t n = shape.window;
+  if (n == 0) {
+    throw std::invalid_argument("SlidingDftTable: window must be >= 1");
+  }
+  if (shape.first_bin + shape.num_bins > n) {
+    throw std::invalid_argument("SlidingDftTable: bins exceed window");
+  }
+  // Base phasors e^{-j 2 pi m / n} in double, rounded once into T.
+  std::vector<T> base_re(n), base_im(n);
+  for (std::size_t m = 0; m < n; ++m) {
+    const double a = -kTwoPi * static_cast<double>(m) / static_cast<double>(n);
+    base_re[m] = static_cast<T>(std::cos(a));
+    base_im[m] = static_cast<T>(std::sin(a));
+  }
+  // Row p, bin b: base[(b * p) mod n], the index walked with integer adds.
+  const std::size_t bins = shape.num_bins;
+  rows_.resize(n * 2 * bins);
+  std::vector<std::size_t> idx(bins, 0);
+  for (std::size_t p = 0; p < n; ++p) {
+    T* row = rows_.data() + p * 2 * bins;
+    for (std::size_t k = 0; k < bins; ++k) {
+      row[k] = base_re[idx[k]];
+      row[bins + k] = base_im[idx[k]];
+      idx[k] += shape.first_bin + k;
+      if (idx[k] >= n) idx[k] -= n;
+    }
+  }
+}
+
+template class SlidingDftTable<double>;
+template class SlidingDftTable<float>;
+
+template <typename T>
+const SlidingDftTable<T>& sdft_table_of(const SlidingDftShape& shape) {
+  return cached_plan_of<SlidingDftTable<T>, SlidingDftShape, ShapeHash>(shape);
+}
+
+template const SlidingDftTable<double>& sdft_table_of<double>(
+    const SlidingDftShape&);
+template const SlidingDftTable<float>& sdft_table_of<float>(
+    const SlidingDftShape&);
+
+std::size_t DftRowGrid::rows(std::size_t count) const {
+  if (step == 0 || offsets.empty()) return 0;
+  const std::size_t max_off = *std::max_element(offsets.begin(), offsets.end());
+  return count > max_off ? (count - 1 - max_off) / step + 1 : 0;
+}
 
 namespace {
 
-// Shared implementation for both sample types. Tables are generated in
-// double and rounded once into T; the running sums and the per-sample
-// kernel update run in T (the periodic re-seed bounds the fp32 drift).
+// Shared implementation for both sample types: the running sums and the
+// per-sample kernel update run in T (the periodic re-seed bounds the fp32
+// drift).
 template <typename T>
-void moving_dft_power_impl(std::span<const T> x, std::size_t window,
-                           std::size_t first_bin, std::size_t num_bins,
-                           std::span<T> out, Workspace& ws,
-                           std::size_t stride) {
+void moving_dft_power_impl(std::span<const T> x,
+                           const SlidingDftTable<T>& table,
+                           const DftRowGrid& grid, std::span<T> out,
+                           Workspace& ws) {
   using C = std::complex<T>;
-  if (window == 0 || x.size() < window) {
+  const std::size_t window = table.shape().window;
+  const std::size_t first_bin = table.shape().first_bin;
+  const std::size_t num_bins = table.shape().num_bins;
+  if (x.size() < window) {
     // lint: throw-ok(caller-bug guard before the sample loop; never fires on well-formed input)
     throw std::invalid_argument("moving_dft_power: window exceeds signal");
   }
-  if (first_bin + num_bins > window) {
+  const std::size_t reps = grid.offsets.size();
+  if (grid.step == 0 || reps == 0 || reps > DftRowGrid::kMaxOffsets) {
     // lint: throw-ok(caller-bug guard before the sample loop; never fires on well-formed input)
-    throw std::invalid_argument("moving_dft_power: bins exceed window");
-  }
-  if (stride == 0) {
-    // lint: throw-ok(caller-bug guard before the sample loop; never fires on well-formed input)
-    throw std::invalid_argument("moving_dft_power: stride must be >= 1");
-  }
-  if (window >= (std::size_t{1} << 31)) {
-    // The SIMD phase lanes are 32-bit; no caller is near this.
-    // lint: throw-ok(caller-bug guard before the sample loop; never fires on well-formed input)
-    throw std::invalid_argument("moving_dft_power: window too large");
+    throw std::invalid_argument("moving_dft_power: bad row grid");
   }
   const std::size_t count = x.size() - window + 1;
-  const std::size_t rows = (count + stride - 1) / stride;
-  if (out.size() != rows * num_bins) {
+  const std::size_t rows = grid.rows(count);
+  if (out.size() != rows * reps * num_bins) {
     // lint: throw-ok(caller-bug guard before the sample loop; never fires on well-formed input)
     throw std::invalid_argument("moving_dft_power: output size mismatch");
   }
-  if (num_bins == 0) return;
+  if (out.empty()) return;
 
-  // Shared phasor table T[m] = e^{-j 2 pi m / window} in split re/im form
-  // (the SIMD update gathers from it); bin b reads indices (b * s) mod
-  // window, advanced with integer adds, so phasors are exact for every
-  // sample index.
-  Scratch<T> tab_re_s(ws, window);
-  Scratch<T> tab_im_s(ws, window);
-  std::span<T> tab_re = tab_re_s.span();
-  std::span<T> tab_im = tab_im_s.span();
-  for (std::size_t m = 0; m < window; ++m) {
-    const double a =
-        -kTwoPi * static_cast<double>(m) / static_cast<double>(window);
-    tab_re[m] = static_cast<T>(std::cos(a));
-    tab_im[m] = static_cast<T>(std::sin(a));
-  }
+  // Per-bin running sums S_b(s) as one [re | im] array, the layout of the
+  // table rows, so one kernel call advances every bin.
+  Scratch<T> acc_s(ws, 2 * num_bins);
+  T* acc = acc_s->data();
+  T* acc_im = acc + num_bins;
 
-  // Per-bin running sums S_b(s) in split form, their phasor indices
-  // (b * s) mod window, and the per-bin index increments.
-  Scratch<T> acc_re_s(ws, num_bins);
-  Scratch<T> acc_im_s(ws, num_bins);
-  ScratchU32 phase_s(ws, num_bins);
-  ScratchU32 step_s(ws, num_bins);
-  std::span<T> acc_re = acc_re_s.span();
-  std::span<T> acc_im = acc_im_s.span();
-  std::span<std::uint32_t> phase = phase_s.span();
-  std::span<std::uint32_t> steps = step_s.span();
-  for (std::size_t k = 0; k < num_bins; ++k) {
-    steps[k] = static_cast<std::uint32_t>(first_bin + k);
-  }
-
-  // Seed every bin at window start `s` from ONE packed real transform of
-  // the window (bins above window/2 are the conjugate mirror), rotated by
-  // the window-start phase e^{-j 2 pi b s / window} the running sum
-  // carries. One rfft replaces num_bins direct window accumulations.
+  // Seed every bin at window start `s` (row q = s mod window) from ONE
+  // packed real transform of the window (bins above window/2 are the
+  // conjugate mirror), rotated by the window-start phase
+  // e^{-j 2 pi b s / window} the running sum carries.
   Scratch<C> spec_s(ws, window / 2 + 1);
   std::span<C> spec = spec_s.span();
-  const auto seed = [&](std::size_t s) {
+  const auto seed = [&](std::size_t s, std::size_t q) {
     rfft_into(x.subspan(s, window), spec, ws);
+    const T* w = table.row(q);
     for (std::size_t k = 0; k < num_bins; ++k) {
       const std::size_t b = first_bin + k;
       const C z = b <= window / 2 ? spec[b] : std::conj(spec[window - b]);
-      const std::size_t p = (b * s) % window;
-      const C w{tab_re[p], tab_im[p]};
-      const C a = z * w;
-      acc_re[k] = a.real();
+      const C a = z * C{w[k], w[num_bins + k]};
+      acc[k] = a.real();
       acc_im[k] = a.imag();
-      phase[k] = static_cast<std::uint32_t>(p);
-    }
-  };
-  const auto write_row = [&](std::size_t s) {
-    T* row = out.data() + (s / stride) * num_bins;
-    for (std::size_t k = 0; k < num_bins; ++k) {
-      row[k] = acc_re[k] * acc_re[k] + acc_im[k] * acc_im[k];
     }
   };
 
-  seed(0);
-  write_row(0);
+  // Grid bookkeeping with counters: next[r] is the next start offset r
+  // writes, into row slot[r]; an offset whose rows are all written parks
+  // at `done`. `emit_at` is the nearest pending start over all offsets.
+  constexpr std::size_t done = std::numeric_limits<std::size_t>::max();
+  const std::size_t slots = rows * reps;
+  std::array<std::size_t, DftRowGrid::kMaxOffsets> next{};
+  std::array<std::size_t, DftRowGrid::kMaxOffsets> slot{};
+  std::size_t last = 0;
+  for (std::size_t r = 0; r < reps; ++r) {
+    next[r] = grid.offsets[r];
+    slot[r] = r;
+    last = std::max(last, (rows - 1) * grid.step + grid.offsets[r]);
+  }
+  std::size_t emit_at = *std::min_element(next.begin(), next.begin() + reps);
+  const auto emit = [&](std::size_t s) {
+    for (std::size_t r = 0; r < reps; ++r) {
+      if (next[r] != s) continue;
+      T* row = out.data() + slot[r] * num_bins;
+      for (std::size_t k = 0; k < num_bins; ++k) {
+        row[k] = acc[k] * acc[k] + acc_im[k] * acc_im[k];
+      }
+      slot[r] += reps;
+      next[r] = slot[r] < slots ? next[r] + grid.step : done;
+    }
+    emit_at = *std::min_element(next.begin(), next.begin() + reps);
+  };
+
+  seed(0, 0);
+  if (emit_at == 0) emit(0);
   const simd::Kernels& kern = simd::active();
-  const auto period = static_cast<std::uint32_t>(window);
-  for (std::size_t s = 1; s < count; ++s) {
-    if (s % kReaccumulateInterval == 0) {
-      seed(s);
+  std::size_t next_seed = kReaccumulateInterval;
+  std::size_t p = 0;  // (s - 1) mod window at the top of step s
+  for (std::size_t s = 1; s <= last; ++s) {
+    const std::size_t q = p + 1 == window ? 0 : p + 1;  // s mod window
+    if (s == next_seed) {
+      seed(s, q);
+      next_seed += kReaccumulateInterval;
     } else {
       // Remove x[s-1], append x[s-1+window]; every bin's removed and added
-      // terms share phasor (b*(s-1)) — one fused multiply-add per bin,
-      // then the phasor indices advance to (b*s).
+      // terms share phasor row (s-1) mod window — one fused
+      // multiply-add per running-sum component.
       const T d = x[s - 1 + window] - x[s - 1];
-      simd::sdft_update(kern, acc_re.data(), acc_im.data(), phase.data(),
-                        steps.data(), tab_re.data(), tab_im.data(), d,
-                        num_bins, period);
+      simd::sdft_update(kern, acc, table.row(p), d, 2 * num_bins);
     }
-    if (s % stride == 0) write_row(s);
+    p = q;
+    if (s == emit_at) emit(s);
   }
 }
 
 }  // namespace
 
-void moving_dft_power(std::span<const double> x, std::size_t window,
-                      std::size_t first_bin, std::size_t num_bins,
-                      std::span<double> out, Workspace& ws,
-                      std::size_t stride) {
-  moving_dft_power_impl<double>(x, window, first_bin, num_bins, out, ws,
-                                stride);
+void moving_dft_power(std::span<const double> x,
+                      const SlidingDftTable<double>& table,
+                      const DftRowGrid& grid, std::span<double> out,
+                      Workspace& ws) {
+  moving_dft_power_impl<double>(x, table, grid, out, ws);
 }
 
-void moving_dft_power(std::span<const float> x, std::size_t window,
-                      std::size_t first_bin, std::size_t num_bins,
-                      std::span<float> out, Workspace& ws,
-                      std::size_t stride) {
-  moving_dft_power_impl<float>(x, window, first_bin, num_bins, out, ws,
-                               stride);
+void moving_dft_power(std::span<const float> x,
+                      const SlidingDftTable<float>& table,
+                      const DftRowGrid& grid, std::span<float> out,
+                      Workspace& ws) {
+  moving_dft_power_impl<float>(x, table, grid, out, ws);
 }
 
 }  // namespace aqua::dsp

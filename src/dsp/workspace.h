@@ -7,12 +7,12 @@
 // one warm-up pass a steady-state pipeline performs no heap allocation in
 // its inner loops.
 //
-// The arena pools five element types: double / cplx for the double-precision
-// estimation tail, float / cplxf for the single-precision receive front end,
-// and uint32 for SIMD index lanes. The generic acquire<V>/release<V>/
-// Scratch<V> interface picks the pool by element type so code templated on
-// the sample type leases without branching; ScratchReal/ScratchCplx/
-// ScratchU32 are aliases kept for the existing double call sites.
+// The arena pools four element types: double / cplx for the double-precision
+// estimation tail and float / cplxf for the single-precision receive front
+// end. The generic acquire<V>/release<V>/Scratch<V> interface picks the pool
+// by element type so code templated on the sample type leases without
+// branching; ScratchReal/ScratchCplx are aliases kept for the existing
+// double call sites.
 //
 // Threading contract: a Workspace is single-threaded state, and there is one
 // ownership rule. Each long-lived owner (core::Modem, core::LinkSession)
@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <type_traits>
 #include <utility>
@@ -39,7 +38,7 @@
 
 namespace aqua::dsp {
 
-/// Pool of reusable scratch vectors (double, float, cplx, cplxf, uint32).
+/// Pool of reusable scratch vectors (double, float, cplx, cplxf).
 /// Lease via Scratch<V> below (RAII), or acquire<V>/release<V> directly for
 /// members.
 class Workspace {
@@ -78,12 +77,10 @@ class Workspace {
       return realf_pool_;
     } else if constexpr (std::is_same_v<V, cplx>) {
       return cplx_pool_;
-    } else if constexpr (std::is_same_v<V, cplxf>) {
-      return cplxf_pool_;
     } else {
-      static_assert(std::is_same_v<V, std::uint32_t>,
-                    "Workspace pools double/float/cplx/cplxf/uint32 only");
-      return u32_pool_;
+      static_assert(std::is_same_v<V, cplxf>,
+                    "Workspace pools double/float/cplx/cplxf only");
+      return cplxf_pool_;
     }
   }
 
@@ -99,7 +96,6 @@ class Workspace {
   std::vector<std::vector<float>> realf_pool_;
   std::vector<std::vector<cplx>> cplx_pool_;
   std::vector<std::vector<cplxf>> cplxf_pool_;
-  std::vector<std::vector<std::uint32_t>> u32_pool_;
 };
 
 /// RAII lease of a scratch vector of `V` sized to `n`.
@@ -123,7 +119,6 @@ class Scratch {
 /// Aliases kept for the existing double-precision call sites.
 using ScratchReal = Scratch<double>;
 using ScratchCplx = Scratch<cplx>;
-using ScratchU32 = Scratch<std::uint32_t>;
 using ScratchRealF = Scratch<float>;
 using ScratchCplxF = Scratch<cplxf>;
 

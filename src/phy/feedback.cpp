@@ -1,8 +1,8 @@
 #include "phy/feedback.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <numeric>
 
 #include "dsp/fir.h"
 #include "dsp/sliding_dft.h"
@@ -11,27 +11,17 @@ namespace aqua::phy {
 
 namespace {
 
-// The decoders only read window starts on the caller's step grid plus the
-// repeat offsets r * sym_total; both lie on the gcd(step, sym_total) grid,
-// so a strided moving-DFT pass keeps the power matrix at count / stride
-// rows instead of pinning count * num_bins doubles in the arena for long
-// captures.
-std::size_t power_grid_stride(std::size_t step, std::size_t sym_total) {
-  return std::gcd(step, sym_total);
-}
-
-// Noncoherent combining of the kRepeats repeated symbols at window start
-// `start`, whitened per bin by the edge noise profile. `win` is the strided
-// moving-DFT power matrix (in the front end's sample type); the whitened
-// sums always accumulate in double.
+// Noncoherent combining of the kRepeats repeated symbols at one window
+// start, whitened per bin by the edge noise profile. `rows` holds the start's
+// kRepeats moving-DFT power rows (in the front end's sample type), one per
+// repeat offset r * sym_total; the whitened sums always accumulate in double.
 template <typename T>
-void combine_repeats(std::span<const T> win, std::span<const double> noise,
-                     std::size_t start, std::size_t sym_total,
-                     std::size_t stride, std::span<double> powers) {
+void combine_repeats(std::span<const T> rows, std::span<const double> noise,
+                     std::span<double> powers) {
   std::fill(powers.begin(), powers.end(), 0.0);
   const std::size_t bins = powers.size();
   for (std::size_t r = 0; r < FeedbackCodec::kRepeats; ++r) {
-    const T* row = win.data() + ((start + r * sym_total) / stride) * bins;
+    const T* row = rows.data() + r * bins;
     for (std::size_t k = 0; k < bins; ++k) {
       powers[k] += static_cast<double>(row[k]) / noise[k];
     }
@@ -107,6 +97,14 @@ void edge_noise_profile(const Ofdm& ofdm, std::span<const T> signal,
   for (double& v : noise) v = std::max(v, floor_val);
 }
 
+// Window-start offsets of the kRepeats back-to-back repeats of a symbol.
+std::array<std::size_t, FeedbackCodec::kRepeats> repeat_offsets(
+    std::size_t sym_total) {
+  std::array<std::size_t, FeedbackCodec::kRepeats> offsets{};
+  for (std::size_t r = 0; r < offsets.size(); ++r) offsets[r] = r * sym_total;
+  return offsets;
+}
+
 std::vector<double> repeat_symbol(const std::vector<double>& sym,
                                   std::size_t repeats) {
   std::vector<double> out;
@@ -124,7 +122,11 @@ FeedbackCodec::FeedbackCodec(const OfdmParams& params)
       ofdm_(params),
       bandpass_(dsp::design_bandpass(params.band_low_hz, params.band_high_hz,
                                      params.sample_rate_hz, 129)),
-      bandpass_f_(dsp::convert_samples<float>(bandpass_.kernel())) {}
+      bandpass_f_(dsp::convert_samples<float>(bandpass_.kernel())),
+      sdft_(&dsp::sdft_table_of<double>(
+          {params.symbol_samples(), params.first_bin(), params.num_bins()})),
+      sdft_f_(&dsp::sdft_table_of<float>(
+          {params.symbol_samples(), params.first_bin(), params.num_bins()})) {}
 
 template <>
 const dsp::BasicFftFilter<double>& FeedbackCodec::bandpass_for<double>() const {
@@ -133,6 +135,14 @@ const dsp::BasicFftFilter<double>& FeedbackCodec::bandpass_for<double>() const {
 template <>
 const dsp::BasicFftFilter<float>& FeedbackCodec::bandpass_for<float>() const {
   return bandpass_f_;
+}
+template <>
+const dsp::SlidingDftTable<double>& FeedbackCodec::sdft_for<double>() const {
+  return *sdft_;
+}
+template <>
+const dsp::SlidingDftTable<float>& FeedbackCodec::sdft_for<float>() const {
+  return *sdft_f_;
 }
 
 // lint: hot-alloc-ok(control-plane encode: one short feedback burst per band exchange, not per sample)
@@ -172,21 +182,23 @@ std::optional<FeedbackDecode> FeedbackCodec::decode_band_impl(
   const std::size_t span_needed = (kRepeats - 1) * sym_total + n;
   if (signal.size() < span_needed) return std::nullopt;
 
-  // One moving-DFT pass covers every window start and every repeat offset.
-  const std::size_t stride = power_grid_stride(step, sym_total);
-  const std::size_t count = signal.size() - n + 1;
-  dsp::Scratch<T> win_s(ws, ((count + stride - 1) / stride) * bins);
-  dsp::moving_dft_power(signal, n, params_.first_bin(), bins, win_s.span(),
-                        ws, stride);
+  // One moving-DFT pass writes exactly the rows the search reads: the
+  // window starts on the step grid at every repeat offset r * sym_total.
+  const std::array<std::size_t, kRepeats> offsets = repeat_offsets(sym_total);
+  const dsp::DftRowGrid grid{step, offsets};
+  const std::size_t starts = grid.rows(signal.size() - n + 1);
+  dsp::Scratch<T> win_s(ws, starts * kRepeats * bins);
+  dsp::moving_dft_power(signal, sdft_for<T>(), grid, win_s.span(), ws);
   std::span<const T> win = win_s.span();
 
   std::optional<FeedbackDecode> best;
   double best_peak_sum = 0.0;
   dsp::ScratchReal powers_s(ws, bins);
   std::vector<double>& powers = *powers_s;
-  for (std::size_t start = 0; start + span_needed <= signal.size();
-       start += step) {
-    combine_repeats<T>(win, noise, start, sym_total, stride, powers);
+  for (std::size_t j = 0; j < starts; ++j) {
+    const std::size_t start = j * step;
+    combine_repeats<T>(win.subspan(j * kRepeats * bins, kRepeats * bins),
+                       noise, powers);
     // Top-2 whitened (per-bin SNR) powers.
     double total = 0.0;
     std::size_t i1 = 0, i2 = 0;
@@ -202,21 +214,34 @@ std::optional<FeedbackDecode> FeedbackCodec::decode_band_impl(
       }
     }
     if (total <= 1e-18) continue;
-    // A single-bin band (begin == end) puts everything in one bin. The
-    // second peak then sits at the noise floor — compare it against the
-    // median of the remaining bins rather than against p1, because a wide
-    // band whose end tone fell into a frequency fade can be 20+ dB below
-    // the start tone yet still far above noise.
-    std::nth_element(powers.begin(), powers.begin() + powers.size() / 2,
-                     powers.end());
-    const double median = powers[powers.size() / 2];
+    // The median below is the one costly step per start, so take it only
+    // when it can change the outcome. Every exit here is exact: the window
+    // is rejected or outranked whatever the median says. peak_sum is p1 or
+    // p1 + p2, so it never exceeds hi.
+    const double hi = p1 + std::max(p2, 0.0);
+    // Short-circuits the min_peak_fraction rule: rounding is monotone and
+    // total > 0, so frac = peak_sum / total <= hi / total < the minimum.
+    if (hi / total < min_peak_fraction) continue;
+    // Short-circuits the ranking rule: peak_sum <= hi <= best_peak_sum, so
+    // `peak_sum > best_peak_sum` is false and best stays.
+    if (best && !(hi > best_peak_sum)) continue;
     // Single-bin band: the second peak is at the noise floor, below the
     // plausible dynamic range of a genuine second tone (30 dB covers the
     // deepest fades the band selector would still pick), or it is leakage
     // into the immediate neighbor of the main peak.
     const std::size_t bin_dist = i1 > i2 ? i1 - i2 : i2 - i1;
-    const bool single = p2 < 5.0 * median || p2 < 1e-3 * p1 ||
-                        (bin_dist <= 1 && p2 < 0.02 * p1);
+    bool single = p2 < 1e-3 * p1 || (bin_dist <= 1 && p2 < 0.02 * p1);
+    // A single-bin band (begin == end) puts everything in one bin. The
+    // second peak then sits at the noise floor — compare it against the
+    // median of the remaining bins rather than against p1, because a wide
+    // band whose end tone fell into a frequency fade can be 20+ dB below
+    // the start tone yet still far above noise. The rule is an OR, so once
+    // a median-free term holds the median cannot change `single`.
+    if (!single) {
+      std::nth_element(powers.begin(), powers.begin() + powers.size() / 2,
+                       powers.end());
+      single = p2 < 5.0 * powers[powers.size() / 2];
+    }
     const double peak_sum = p1 + (single ? 0.0 : p2);
     const double frac = peak_sum / total;
     if (frac < min_peak_fraction) continue;
@@ -265,20 +290,23 @@ std::optional<ToneDecode> FeedbackCodec::decode_tone_impl(
   const std::size_t span_needed = (kRepeats - 1) * sym_total + n;
   if (signal.size() < span_needed) return std::nullopt;
 
-  const std::size_t stride = power_grid_stride(step, sym_total);
-  const std::size_t count = signal.size() - n + 1;
-  dsp::Scratch<T> win_s(ws, ((count + stride - 1) / stride) * bins);
-  dsp::moving_dft_power(signal, n, params_.first_bin(), bins, win_s.span(),
-                        ws, stride);
+  // One moving-DFT pass writes exactly the rows the search reads: the
+  // window starts on the step grid at every repeat offset r * sym_total.
+  const std::array<std::size_t, kRepeats> offsets = repeat_offsets(sym_total);
+  const dsp::DftRowGrid grid{step, offsets};
+  const std::size_t starts = grid.rows(signal.size() - n + 1);
+  dsp::Scratch<T> win_s(ws, starts * kRepeats * bins);
+  dsp::moving_dft_power(signal, sdft_for<T>(), grid, win_s.span(), ws);
   std::span<const T> win = win_s.span();
 
   std::optional<ToneDecode> best;
   double best_peak = 0.0;
   dsp::ScratchReal powers_s(ws, bins);
   std::vector<double>& powers = *powers_s;
-  for (std::size_t start = 0; start + span_needed <= signal.size();
-       start += step) {
-    combine_repeats<T>(win, noise, start, sym_total, stride, powers);
+  for (std::size_t j = 0; j < starts; ++j) {
+    const std::size_t start = j * step;
+    combine_repeats<T>(win.subspan(j * kRepeats * bins, kRepeats * bins),
+                       noise, powers);
     double total = 0.0;
     double p1 = -1.0;
     std::size_t i1 = 0;

@@ -5,8 +5,13 @@
 // the two bins (f_begin, f_end); the receiver finds it with a sliding FFT
 // and picks the top-2 bins. Device IDs and ACKs use the same trick with a
 // single bin. The sliding FFT is evaluated with a moving-window DFT bank
-// (dsp/sliding_dft.h) that updates each active bin in O(1) per sample, so a
-// capture costs O(N * bins) instead of one full transform per window.
+// (dsp/sliding_dft.h) that updates every active bin with one contiguous
+// axpy per sample against the codec's cached phasor table, so a capture
+// costs O(N * bins) instead of one full transform per window. The pass
+// writes only the power rows the search reads — the window starts on the
+// decoder's step grid at each of the kRepeats repeat offsets — and the
+// band search takes the median of a window's bins only when no exact
+// early exit has already decided that window.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +20,7 @@
 #include <vector>
 
 #include "dsp/fft_filter.h"
+#include "dsp/sliding_dft.h"
 #include "dsp/workspace.h"
 #include "phy/bandselect.h"
 #include "phy/ofdm.h"
@@ -99,6 +105,9 @@ class FeedbackCodec {
   /// The receive bandpass engine matching sample type T.
   template <typename T>
   const dsp::BasicFftFilter<T>& bandpass_for() const;
+  /// The moving-DFT phasor table matching sample type T.
+  template <typename T>
+  const dsp::SlidingDftTable<T>& sdft_for() const;
 
   OfdmParams params_;
   Ofdm ofdm_;
@@ -106,6 +115,11 @@ class FeedbackCodec {
   /// fp32 twin of bandpass_ (same kernel, correctly-rounded narrowing) for
   /// the float decode overloads.
   dsp::BasicFftFilter<float> bandpass_f_;
+  /// Phasor rows of the active bins at this numerology, one table per
+  /// precision, shared process-wide (dsp::sdft_table_of) and looked up
+  /// here so no decode builds one.
+  const dsp::SlidingDftTable<double>* sdft_;
+  const dsp::SlidingDftTable<float>* sdft_f_;
 };
 
 }  // namespace aqua::phy

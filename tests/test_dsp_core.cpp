@@ -16,6 +16,7 @@
 #include "dsp/workspace.h"
 #include "phy/ofdm.h"
 #include "phy/params.h"
+#include "feedback_oracle.h"
 
 namespace aqua::dsp {
 namespace {
@@ -353,6 +354,12 @@ TEST(CrossCorrelator, MatchesFreeFunctions) {
 
 // --- Moving-window DFT bank vs per-window FFT demodulation. --------------
 
+template <typename T>
+const SlidingDftTable<T>& table_for(std::size_t n, std::size_t first,
+                                    std::size_t bins) {
+  return sdft_table_of<T>(SlidingDftShape{n, first, bins});
+}
+
 TEST(MovingDftPower, MatchesPerWindowFft) {
   const phy::OfdmParams params;
   const phy::Ofdm ofdm(params);
@@ -362,7 +369,8 @@ TEST(MovingDftPower, MatchesPerWindowFft) {
   const std::vector<double> x = random_real(3 * n + 137, 23);
   const std::size_t count = x.size() - n + 1;
   std::vector<double> powers(count * bins);
-  moving_dft_power(x, n, params.first_bin(), bins, powers, ws);
+  moving_dft_power(x, table_for<double>(n, params.first_bin(), bins),
+                   DftRowGrid{}, powers, ws);
   // Spot-check starts across the capture, including both edges.
   for (const std::size_t s :
        {std::size_t{0}, std::size_t{1}, std::size_t{7}, n - 1, n, 2 * n + 41,
@@ -386,7 +394,7 @@ TEST(MovingDftPower, SurvivesLongCapturesWithoutDrift) {
   const std::vector<double> x = random_real(60000, 29);
   const std::size_t count = x.size() - n + 1;
   std::vector<double> powers(count * 1);
-  moving_dft_power(x, n, 20, 1, powers, ws);
+  moving_dft_power(x, table_for<double>(n, 20, 1), DftRowGrid{}, powers, ws);
   const std::size_t s = count - 1;
   cplx acc{0.0, 0.0};
   for (std::size_t i = 0; i < n; ++i) {
@@ -397,25 +405,71 @@ TEST(MovingDftPower, SurvivesLongCapturesWithoutDrift) {
   EXPECT_NEAR(powers[s], std::norm(acc), 1e-6 * (1.0 + std::norm(acc)));
 }
 
-TEST(MovingDftPower, StridedOutputMatchesDenseRows) {
-  // The strided form must write exactly the rows at stride multiples, with
-  // values bit-identical to the dense pass (the slide itself is unchanged).
+// The row-grid pass must write exactly the grid's rows, each bit-identical
+// to the dense pass (the slide itself is unchanged), and the dense pass
+// must equal the gather-based reference of tests/feedback_oracle.h. The
+// capture spans two re-seeds and the bins straddle window/2, so the
+// conjugate branch of the seed runs too.
+template <typename T>
+void check_row_grid_against_dense() {
   const std::size_t n = 960;
-  const std::size_t bins = 7;
+  const std::size_t first = 470;
+  const std::size_t bins = 13;  // bins 470..482 straddle n/2 = 480
   Workspace ws;
-  const std::vector<double> x = random_real(3 * n + 61, 41);
+  std::vector<T> x(9000 + n);
+  std::mt19937_64 rng(41);
+  std::normal_distribution<double> g(0.0, 1.0);
+  for (T& v : x) v = static_cast<T>(g(rng));
   const std::size_t count = x.size() - n + 1;
-  std::vector<double> dense(count * bins);
-  moving_dft_power(x, n, 20, bins, dense, ws);
-  for (const std::size_t stride : {std::size_t{8}, std::size_t{13}}) {
-    const std::size_t rows = (count + stride - 1) / stride;
-    std::vector<double> strided(rows * bins);
-    moving_dft_power(x, n, 20, bins, strided, ws, stride);
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t k = 0; k < bins; ++k) {
-        ASSERT_EQ(strided[r * bins + k], dense[r * stride * bins + k])
-            << "stride " << stride << " row " << r << " bin " << k;
+  ASSERT_GT(count, 2 * std::size_t{4096});
+  const SlidingDftTable<T>& table = table_for<T>(n, first, bins);
+  std::vector<T> dense(count * bins);
+  moving_dft_power(std::span<const T>(x), table, DftRowGrid{},
+                   std::span<T>(dense), ws);
+  std::vector<T> ref(count * bins);
+  oracle::reference_moving_dft_power<T>(x, n, first, bins, ref, ws);
+  for (std::size_t i = 0; i < dense.size(); ++i) {
+    ASSERT_EQ(dense[i], ref[i]) << "start " << i / bins << " bin " << i % bins;
+  }
+  for (const auto& [step, offset] :
+       {std::pair<std::size_t, std::size_t>{8, 1027}, {8, 1024}, {13, 7}}) {
+    const std::size_t offsets[] = {0, offset};
+    const DftRowGrid grid{step, offsets};
+    const std::size_t rows = grid.rows(count);
+    ASSERT_EQ(rows, (count - 1 - offset) / step + 1);
+    std::vector<T> got(rows * 2 * bins);
+    moving_dft_power(std::span<const T>(x), table, grid, std::span<T>(got),
+                     ws);
+    for (std::size_t j = 0; j < rows; ++j) {
+      for (std::size_t r = 0; r < 2; ++r) {
+        const std::size_t s = j * step + offsets[r];
+        for (std::size_t k = 0; k < bins; ++k) {
+          ASSERT_EQ(got[(j * 2 + r) * bins + k], dense[s * bins + k])
+              << "step " << step << " offset " << offset << " row " << j
+              << " repeat " << r << " bin " << k;
+        }
       }
+    }
+  }
+}
+
+TEST(MovingDftPower, RowGridMatchesDenseRows) {
+  check_row_grid_against_dense<double>();
+  check_row_grid_against_dense<float>();
+}
+
+TEST(MovingDftPower, TableRowsHoldEveryBinsPhasor) {
+  const std::size_t n = 960;
+  const SlidingDftTable<float>& t = table_for<float>(n, 20, 60);
+  EXPECT_EQ(&t, &table_for<float>(n, 20, 60));  // cached per shape
+  for (const std::size_t p : {std::size_t{0}, std::size_t{1}, std::size_t{959},
+                              std::size_t{517}}) {
+    for (const std::size_t k : {std::size_t{0}, std::size_t{31},
+                                std::size_t{59}}) {
+      const std::size_t m = ((20 + k) * p) % n;
+      const double a = -kTwoPi * static_cast<double>(m) / static_cast<double>(n);
+      EXPECT_EQ(t.row(p)[k], static_cast<float>(std::cos(a)));
+      EXPECT_EQ(t.row(p)[60 + k], static_cast<float>(std::sin(a)));
     }
   }
 }
@@ -423,10 +477,20 @@ TEST(MovingDftPower, StridedOutputMatchesDenseRows) {
 TEST(MovingDftPower, RejectsBadArguments) {
   Workspace ws;
   std::vector<double> x(100), out(100);
-  EXPECT_THROW(moving_dft_power(x, 0, 0, 1, out, ws), std::invalid_argument);
-  EXPECT_THROW(moving_dft_power(x, 200, 0, 1, out, ws),
+  EXPECT_THROW(SlidingDftTable<double>(SlidingDftShape{0, 0, 1}),
                std::invalid_argument);
-  EXPECT_THROW(moving_dft_power(x, 50, 40, 20, out, ws),
+  EXPECT_THROW(SlidingDftTable<double>(SlidingDftShape{50, 40, 20}),
+               std::invalid_argument);
+  const SlidingDftTable<double>& big = table_for<double>(200, 0, 1);
+  EXPECT_THROW(moving_dft_power(x, big, DftRowGrid{}, out, ws),
+               std::invalid_argument);
+  const SlidingDftTable<double>& small = table_for<double>(50, 0, 1);
+  EXPECT_THROW(moving_dft_power(x, small, DftRowGrid{0}, out, ws),
+               std::invalid_argument);
+  EXPECT_THROW(moving_dft_power(x, small, DftRowGrid{}, out, ws),
+               std::invalid_argument);  // 51 rows, not 100
+  const std::size_t many[DftRowGrid::kMaxOffsets + 1] = {};
+  EXPECT_THROW(moving_dft_power(x, small, DftRowGrid{1, many}, out, ws),
                std::invalid_argument);
 }
 

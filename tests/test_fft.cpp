@@ -2,17 +2,47 @@
 // Bluestein path used by the 960-point OFDM symbol.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <random>
 
 #include "dsp/fft.h"
+#include "dsp/simd.h"
 
 namespace aqua::dsp {
 
 // White-box access to the private radix-2 kernel, so the plan-size guard
-// (which no public path can violate) still gets a throw test.
+// (which no public path can violate) still gets a throw test, and to the
+// Bluestein tables, so the chirp loops can be checked against their
+// std::complex form.
 struct FftPlanTestPeer {
   static void radix2(const FftPlan& plan, std::vector<cplx>& data) {
     plan.radix2(data, /*invert=*/false);
+  }
+
+  // The Bluestein transform with the chirp loops written as std::complex
+  // products (the form BasicFftPlan::transform must reproduce bit for bit).
+  template <typename T>
+  static std::vector<std::complex<T>> bluestein_reference(
+      const BasicFftPlan<T>& plan, const std::vector<std::complex<T>>& in,
+      bool invert) {
+    using C = std::complex<T>;
+    std::vector<C> a(plan.m_, C{});
+    for (std::size_t k = 0; k < plan.n_; ++k) {
+      const C x = invert ? std::conj(in[k]) : in[k];
+      a[k] = x * plan.chirp_[k];
+    }
+    plan.radix2(a, /*invert=*/false);
+    simd::cmul_inplace(simd::active(), a.data(), plan.chirp_fft_.data(),
+                       plan.m_);
+    plan.radix2(a, /*invert=*/true);
+    const T scale = T(1.0) / static_cast<T>(plan.m_);
+    std::vector<C> out(plan.n_);
+    for (std::size_t k = 0; k < plan.n_; ++k) {
+      C y = a[k] * scale * plan.chirp_[k];
+      out[k] = invert ? std::conj(y) : y;
+    }
+    return out;
   }
 };
 
@@ -156,6 +186,49 @@ TEST(Fft, BluesteinPlanRejectsMismatchedWorkSize) {
   FftPlan plan(960);
   std::vector<cplx> n_sized(960);
   EXPECT_THROW(FftPlanTestPeer::radix2(plan, n_sized), std::invalid_argument);
+}
+
+template <typename T>
+void check_bluestein_chirp_loops() {
+  using C = std::complex<T>;
+  const T inf = std::numeric_limits<T>::infinity();
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  Workspace ws;
+  for (const std::size_t n : {std::size_t{3}, std::size_t{7}, std::size_t{60},
+                              std::size_t{480}, std::size_t{960},
+                              std::size_t{1027}}) {
+    const BasicFftPlan<T> plan(n);
+    std::mt19937_64 rng(90 + n);
+    std::normal_distribution<double> g(0.0, 1.0);
+    std::vector<C> in(n);
+    for (C& v : in) v = {static_cast<T>(g(rng)), static_cast<T>(g(rng))};
+    for (const bool hostile : {false, true}) {
+      if (hostile) {  // NaN/Inf inputs reach the Annex G product path
+        in[0] = {inf, -inf};
+        in[n / 2] = {nan, T(1)};
+        in[n - 1] = {-inf, T(0)};
+      }
+      for (const bool invert : {false, true}) {
+        std::vector<C> got(n);
+        std::vector<C> want =
+            FftPlanTestPeer::bluestein_reference(plan, in, invert);
+        if (invert) {
+          plan.inverse(in, got, ws);
+          const T scale = T(1.0) / static_cast<T>(n);
+          for (C& v : want) v *= scale;
+        } else {
+          plan.forward(in, got, ws);
+        }
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(C)), 0)
+            << "n " << n << " hostile " << hostile << " invert " << invert;
+      }
+    }
+  }
+}
+
+TEST(Fft, BluesteinChirpLoopsMatchComplexProductBitForBit) {
+  check_bluestein_chirp_loops<double>();
+  check_bluestein_chirp_loops<float>();
 }
 
 TEST(Fft, NextPow2) {

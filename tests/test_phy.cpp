@@ -2,7 +2,11 @@
 // Algorithm-1 band selection, feedback symbols, MMSE equalizer.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <random>
+#include <string>
 
 #include "channel/channel.h"
 #include "dsp/fir.h"
@@ -13,6 +17,7 @@
 #include "phy/feedback.h"
 #include "phy/ofdm.h"
 #include "phy/preamble.h"
+#include "feedback_oracle.h"
 
 namespace aqua::phy {
 namespace {
@@ -332,6 +337,145 @@ TEST(Feedback, NothingDetectedInPureNoise) {
   dsp::Workspace ws;
   EXPECT_FALSE(fb.decode_band(noise, 8, 0.3, ws).has_value());
   EXPECT_FALSE(fb.decode_tone(noise, 8, 0.3, ws).has_value());
+}
+
+// --- Decoder oracle: the row-table moving DFT and the lazy median must
+// reproduce the pre-change decoders (tests/feedback_oracle.h) bit for bit.
+
+// `burst` between `lead` and `tail` samples of silence, plus white noise.
+std::vector<double> oracle_capture(const std::vector<double>& burst,
+                                   std::size_t lead, std::size_t tail,
+                                   double sigma, std::uint64_t seed) {
+  std::vector<double> x(lead, 0.0);
+  x.insert(x.end(), burst.begin(), burst.end());
+  x.resize(x.size() + tail, 0.0);
+  std::mt19937_64 rng(seed);
+  std::normal_distribution<double> g(0.0, sigma);
+  for (double& v : x) v += g(rng);
+  return x;
+}
+
+// One repeated OFDM symbol (with CP) carrying `amps` on the listed bins.
+std::vector<double> oracle_tones(
+    const OfdmParams& p,
+    std::initializer_list<std::pair<std::size_t, double>> amps) {
+  const Ofdm ofdm(p);
+  std::vector<dsp::cplx> bins(p.num_bins(), dsp::cplx{0.0, 0.0});
+  for (const auto& [bin, a] : amps) bins.at(bin) = {a, 0.0};
+  const std::vector<double> sym = ofdm.modulate_with_cp(bins);
+  std::vector<double> out;
+  for (std::size_t r = 0; r < FeedbackCodec::kRepeats; ++r) {
+    out.insert(out.end(), sym.begin(), sym.end());
+  }
+  return out;
+}
+
+template <typename T>
+void expect_decoders_match_oracle(const std::vector<double>& capture,
+                                  const std::string& what) {
+  const OfdmParams p;
+  const FeedbackCodec codec(p);
+  const oracle::OracleFeedback ref(p);
+  dsp::Workspace ws;
+  std::vector<T> x(capture.size());
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] = static_cast<T>(capture[i]);
+  const std::span<const T> in(x);
+  for (const std::size_t step : {std::size_t{8}, std::size_t{5}}) {
+    for (const double min_frac : {0.3, 0.02}) {
+      const std::string at = what + " step " + std::to_string(step) +
+                             " min " + std::to_string(min_frac) +
+                             (sizeof(T) == 4 ? " float" : " double");
+      const auto band = codec.decode_band(in, step, min_frac, ws);
+      const auto band_ref = ref.decode_band<T>(in, step, min_frac, ws);
+      ASSERT_EQ(band.has_value(), band_ref.has_value()) << at;
+      if (band_ref) {
+        EXPECT_EQ(band->band.begin_bin, band_ref->band.begin_bin) << at;
+        EXPECT_EQ(band->band.end_bin, band_ref->band.end_bin) << at;
+        EXPECT_EQ(band->symbol_start, band_ref->symbol_start) << at;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(band->peak_fraction),
+                  std::bit_cast<std::uint64_t>(band_ref->peak_fraction))
+            << at;
+      }
+      const auto tone = codec.decode_tone(in, step, min_frac, ws);
+      const auto tone_ref = ref.decode_tone<T>(in, step, min_frac, ws);
+      ASSERT_EQ(tone.has_value(), tone_ref.has_value()) << at;
+      if (tone_ref) {
+        EXPECT_EQ(tone->bin, tone_ref->bin) << at;
+        EXPECT_EQ(tone->symbol_start, tone_ref->symbol_start) << at;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(tone->peak_fraction),
+                  std::bit_cast<std::uint64_t>(tone_ref->peak_fraction))
+            << at;
+      }
+    }
+  }
+}
+
+void expect_both_precisions_match_oracle(const std::vector<double>& capture,
+                                         const std::string& what) {
+  expect_decoders_match_oracle<double>(capture, what);
+  expect_decoders_match_oracle<float>(capture, what);
+}
+
+TEST(FeedbackOracle, NoiseOnly) {
+  expect_both_precisions_match_oracle(oracle_capture({}, 12000, 0, 0.05, 71),
+                                      "noise");
+}
+
+TEST(FeedbackOracle, SingleTone) {
+  const OfdmParams p;
+  expect_both_precisions_match_oracle(
+      oracle_capture(oracle_tones(p, {{28, 1.0}}), 3000, 2500, 0.01, 72),
+      "single tone");
+}
+
+TEST(FeedbackOracle, TwoTones25DbApart) {
+  const OfdmParams p;
+  const double weak = std::pow(10.0, -25.0 / 20.0);
+  expect_both_precisions_match_oracle(
+      oracle_capture(oracle_tones(p, {{12, 1.0}, {40, weak}}), 2800, 3100,
+                     0.01, 73),
+      "two tones 25 dB apart");
+}
+
+TEST(FeedbackOracle, AdjacentBinPair) {
+  // A 0.1 amplitude neighbor falls under the adjacent-bin leakage rule
+  // (power ratio 0.01 < 0.02); a 0.3 one does not.
+  const OfdmParams p;
+  for (const double a : {0.1, 0.3}) {
+    expect_both_precisions_match_oracle(
+        oracle_capture(oracle_tones(p, {{20, 1.0}, {21, a}}), 3000, 3000,
+                       0.01, 74),
+        "adjacent pair " + std::to_string(a));
+  }
+}
+
+TEST(FeedbackOracle, EqualPowerTiesBetweenWindows) {
+  // Exact ties: at 1e18 the float power rows of the tone bins overflow to
+  // +Inf (at 1e158 the double ones do), so every window over the symbol
+  // has the same whitened peak sum and the first of them must win, as in
+  // the eager decoder. A second copy of the symbol adds near-ties between
+  // two separated windows.
+  const OfdmParams p;
+  const std::vector<double> burst = oracle_tones(p, {{10, 1.0}, {50, 1.0}});
+  for (const double scale : {1e18, 1e158}) {
+    std::vector<double> x = oracle_capture(burst, 3000, 3000, 0.01, 75);
+    for (double& v : x) v *= scale;
+    expect_both_precisions_match_oracle(x, "overflow " + std::to_string(scale));
+  }
+  std::vector<double> twice = burst;
+  twice.resize(twice.size() + 1500, 0.0);
+  twice.insert(twice.end(), burst.begin(), burst.end());
+  expect_both_precisions_match_oracle(
+      oracle_capture(twice, 2000, 2000, 0.0, 75), "repeated symbol");
+}
+
+TEST(FeedbackOracle, NanAndInfBearingCapture) {
+  const OfdmParams p;
+  std::vector<double> x =
+      oracle_capture(oracle_tones(p, {{33, 1.0}}), 4000, 3000, 0.02, 76);
+  x[1500] = std::numeric_limits<double>::quiet_NaN();
+  x[x.size() - 700] = std::numeric_limits<double>::infinity();
+  expect_both_precisions_match_oracle(x, "nan/inf");
 }
 
 TEST(Equalizer, ShortensAnIsiChannel) {

@@ -256,66 +256,51 @@ TEST(Simd, CmulBitIdenticalAcrossTargetsAndCorrect) {
   }
 }
 
-TEST(Simd, SdftUpdateBitIdenticalAcrossTargetsAndCorrect) {
+// Row-update lengths: the bin counts {1, 3, 7, 8, 60, 61} and the
+// [re | im] lengths (twice those) moving_dft_power passes, so every vector
+// tail (mod 2, 4 and 8) runs on every target.
+const std::size_t kSdftLengths[] = {1, 3, 7, 8, 60, 61, 2, 6, 14, 16, 120, 122};
+
+// The row kernel, five updates deep with fresh rows each time, against the
+// scalar reference bit for bit and a plain multiply-add within rounding.
+template <typename T>
+void check_sdft_update(
+    std::vector<T> (*random)(std::size_t, std::uint64_t),
+    void (*kernel)(const simd::Kernels&, T*, const T*, T, std::size_t),
+    T tol) {
   const simd::Kernels* scalar = simd::kernels_for(simd::Isa::kScalar);
   ASSERT_NE(scalar, nullptr);
-  const std::uint32_t period = 960;
-  std::vector<double> tab_re(period), tab_im(period);
-  for (std::uint32_t m = 0; m < period; ++m) {
-    const double a = -kTwoPi * m / static_cast<double>(period);
-    tab_re[m] = std::cos(a);
-    tab_im[m] = std::sin(a);
-  }
-  std::mt19937_64 rng(42);
-  std::uniform_int_distribution<std::uint32_t> pick(0, period - 1);
-  for (const std::size_t bins : kKernelSizes) {
-    std::vector<double> re0 = random_real(bins, 800 + bins);
-    std::vector<double> im0 = random_real(bins, 900 + bins);
-    std::vector<std::uint32_t> ph0(bins), steps(bins);
-    for (std::size_t k = 0; k < bins; ++k) {
-      ph0[k] = pick(rng);
-      steps[k] = pick(rng);
+  for (const std::size_t n : kSdftLengths) {
+    const std::vector<T> acc0 = random(n, 800 + n);
+    std::vector<std::vector<T>> rows;
+    for (int iter = 0; iter < 5; ++iter) rows.push_back(random(n, 900 + n + iter));
+    const T d = T(0.8371);
+    std::vector<T> ref = acc0, naive = acc0;
+    for (const std::vector<T>& row : rows) {
+      kernel(*scalar, ref.data(), row.data(), d, n);
+      for (std::size_t i = 0; i < n; ++i) naive[i] += d * row[i];
     }
-    const double d = 0.8371;
-
-    std::vector<double> ref_re = re0, ref_im = im0;
-    std::vector<std::uint32_t> ref_ph = ph0;
-    for (int iter = 0; iter < 5; ++iter) {
-      scalar->sdft_update(ref_re.data(), ref_im.data(), ref_ph.data(),
-                          steps.data(), tab_re.data(), tab_im.data(), d, bins,
-                          period);
-    }
-    // Naive cross-check of the recurrence semantics.
-    {
-      std::vector<double> nre = re0, nim = im0;
-      std::vector<std::uint32_t> nph = ph0;
-      for (int iter = 0; iter < 5; ++iter) {
-        for (std::size_t k = 0; k < bins; ++k) {
-          nre[k] += d * tab_re[nph[k]];
-          nim[k] += d * tab_im[nph[k]];
-          nph[k] = (nph[k] + steps[k]) % period;
-        }
-      }
-      for (std::size_t k = 0; k < bins; ++k) {
-        ASSERT_EQ(ref_ph[k], nph[k]) << "bin " << k;
-        EXPECT_NEAR(ref_re[k], nre[k], 1e-12 * (1.0 + std::abs(nre[k])));
-        EXPECT_NEAR(ref_im[k], nim[k], 1e-12 * (1.0 + std::abs(nim[k])));
-      }
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(ref[i], naive[i], tol * (T(1) + std::abs(naive[i])));
     }
     for (const simd::Kernels* k : runnable_targets()) {
-      std::vector<double> gre = re0, gim = im0;
-      std::vector<std::uint32_t> gph = ph0;
-      for (int iter = 0; iter < 5; ++iter) {
-        k->sdft_update(gre.data(), gim.data(), gph.data(), steps.data(),
-                       tab_re.data(), tab_im.data(), d, bins, period);
+      std::vector<T> got = acc0;
+      for (const std::vector<T>& row : rows) {
+        kernel(*k, got.data(), row.data(), d, n);
       }
-      for (std::size_t j = 0; j < bins; ++j) {
-        EXPECT_EQ(gre[j], ref_re[j]) << k->name << " bin " << j;
-        EXPECT_EQ(gim[j], ref_im[j]) << k->name << " bin " << j;
-        EXPECT_EQ(gph[j], ref_ph[j]) << k->name << " bin " << j;
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(got[i], ref[i]) << k->name << " n " << n << " i " << i;
       }
     }
   }
+}
+
+TEST(Simd, SdftUpdateBitIdenticalAcrossTargetsAndCorrect) {
+  check_sdft_update<double>(
+      random_real,
+      [](const simd::Kernels& k, double* acc, const double* row, double d,
+         std::size_t n) { k.sdft_update(acc, row, d, n); },
+      1e-12);
 }
 
 // The stage kernel's contract, evaluated block by block straight from the
@@ -442,66 +427,11 @@ TEST(Simd, CmulFloatBitIdenticalAcrossTargetsAndCorrect) {
 }
 
 TEST(Simd, SdftUpdateFloatBitIdenticalAcrossTargetsAndCorrect) {
-  const simd::Kernels* scalar = simd::kernels_for(simd::Isa::kScalar);
-  ASSERT_NE(scalar, nullptr);
-  const std::uint32_t period = 960;
-  std::vector<float> tab_re(period), tab_im(period);
-  for (std::uint32_t m = 0; m < period; ++m) {
-    const double a = -kTwoPi * m / static_cast<double>(period);
-    tab_re[m] = static_cast<float>(std::cos(a));
-    tab_im[m] = static_cast<float>(std::sin(a));
-  }
-  std::mt19937_64 rng(43);
-  std::uniform_int_distribution<std::uint32_t> pick(0, period - 1);
-  for (const std::size_t bins : kKernelSizes) {
-    std::vector<float> re0 = random_realf(bins, 1800 + bins);
-    std::vector<float> im0 = random_realf(bins, 1900 + bins);
-    std::vector<std::uint32_t> ph0(bins), steps(bins);
-    for (std::size_t k = 0; k < bins; ++k) {
-      ph0[k] = pick(rng);
-      steps[k] = pick(rng);
-    }
-    const float d = 0.8371f;
-
-    std::vector<float> ref_re = re0, ref_im = im0;
-    std::vector<std::uint32_t> ref_ph = ph0;
-    for (int iter = 0; iter < 5; ++iter) {
-      scalar->sdft_update_f(ref_re.data(), ref_im.data(), ref_ph.data(),
-                            steps.data(), tab_re.data(), tab_im.data(), d,
-                            bins, period);
-    }
-    // Naive fp32 recurrence cross-check: the integer phase walk must be
-    // exact; the accumulators within fp32 rounding of the fused updates.
-    {
-      std::vector<float> nre = re0, nim = im0;
-      std::vector<std::uint32_t> nph = ph0;
-      for (int iter = 0; iter < 5; ++iter) {
-        for (std::size_t k = 0; k < bins; ++k) {
-          nre[k] += d * tab_re[nph[k]];
-          nim[k] += d * tab_im[nph[k]];
-          nph[k] = (nph[k] + steps[k]) % period;
-        }
-      }
-      for (std::size_t k = 0; k < bins; ++k) {
-        ASSERT_EQ(ref_ph[k], nph[k]) << "bin " << k;
-        EXPECT_NEAR(ref_re[k], nre[k], 1e-4f * (1.0f + std::abs(nre[k])));
-        EXPECT_NEAR(ref_im[k], nim[k], 1e-4f * (1.0f + std::abs(nim[k])));
-      }
-    }
-    for (const simd::Kernels* k : runnable_targets()) {
-      std::vector<float> gre = re0, gim = im0;
-      std::vector<std::uint32_t> gph = ph0;
-      for (int iter = 0; iter < 5; ++iter) {
-        k->sdft_update_f(gre.data(), gim.data(), gph.data(), steps.data(),
-                         tab_re.data(), tab_im.data(), d, bins, period);
-      }
-      for (std::size_t j = 0; j < bins; ++j) {
-        EXPECT_EQ(gre[j], ref_re[j]) << k->name << " bin " << j;
-        EXPECT_EQ(gim[j], ref_im[j]) << k->name << " bin " << j;
-        EXPECT_EQ(gph[j], ref_ph[j]) << k->name << " bin " << j;
-      }
-    }
-  }
+  check_sdft_update<float>(
+      random_realf,
+      [](const simd::Kernels& k, float* acc, const float* row, float d,
+         std::size_t n) { k.sdft_update_f(acc, row, d, n); },
+      1e-5f);
 }
 
 TEST(Simd, ButterflyFloatBitIdenticalAcrossTargetsAndCorrect) {

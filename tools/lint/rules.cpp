@@ -805,11 +805,11 @@ void check_float_narrow(Ctx& ctx) {
 // ---------------------------------------------------------------------------
 // Rule: global-state. Namespace-scope mutable non-atomic variables in src/
 // are shared state the thousand-node sim cannot shard; thread_local is
-// confined to the sanctioned workspace / FFT-plan-cache files.
+// confined to the sanctioned workspace / plan-cache files.
 // ---------------------------------------------------------------------------
 const std::unordered_set<std::string_view> kThreadLocalSanctioned = {
     "src/dsp/workspace.cpp",
-    "src/dsp/fft.cpp",
+    "src/dsp/plan_cache.h",
 };
 
 void check_global_state(Ctx& ctx) {
@@ -832,7 +832,7 @@ void check_global_state(Ctx& ctx) {
     for (const ThreadLocalSym& t : ctx.tu.sym.thread_locals) {
       ctx.report(t.line, t.col, "global-state",
                  "thread_local outside the sanctioned workspace/plan-cache "
-                 "files (src/dsp/workspace.cpp, src/dsp/fft.cpp): per-"
+                 "files (src/dsp/workspace.cpp, src/dsp/plan_cache.h): per-"
                  "thread state breaks the sharded-sim ownership model");
     }
   }
@@ -928,8 +928,8 @@ void check_guarded_by(Ctx& ctx, const GuardMap& guards) {
 // (`sp[i]`) and non-view members (`sp.size()`) are values and do not.
 // ---------------------------------------------------------------------------
 const std::unordered_set<std::string_view> kLeaseTypes = {
-    "Scratch",    "ScratchReal",  "ScratchCplx",
-    "ScratchU32", "ScratchRealF", "ScratchCplxF",
+    "Scratch",      "ScratchReal",  "ScratchCplx",
+    "ScratchRealF", "ScratchCplxF",
 };
 
 const std::unordered_set<std::string_view> kViewMembers = {
@@ -1397,7 +1397,8 @@ std::string rules_help() {
       "                             only be touched under a lock of m\n"
       "  global-state [global-ok]   namespace-scope mutable non-atomic\n"
       "                             variables in src/; thread_local outside\n"
-      "                             src/dsp/workspace.cpp and src/dsp/fft.cpp\n"
+      "                             src/dsp/workspace.cpp and\n"
+      "                             src/dsp/plan_cache.h\n"
       "  pos-sub      [pos-sub-ok]  unguarded size_t subtraction on sample-\n"
       "                             position identifiers (*_pos, *_base,\n"
       "                             abs_*)\n"
