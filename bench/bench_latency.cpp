@@ -4,8 +4,11 @@
 // and <20 ms per symbol for decoding) and end-to-end messaging airtime.
 #include <benchmark/benchmark.h>
 
+#include <complex>
 #include <random>
+#include <vector>
 
+#include "dsp/fft.h"
 #include "dsp/fir.h"
 #include "phy/bandselect.h"
 #include "phy/chanest.h"
@@ -39,6 +42,48 @@ void BM_ChannelEstimation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ChannelEstimation);
+
+// The shared transform layer under every decoder: the packed real FFT at
+// the sizes the receive path runs (1,024 and 2,048: tone/feedback
+// bandpass and data decode; 16,384: the preamble correlation stream),
+// in both precisions. state.range(0) is the real transform size.
+template <typename T>
+void BM_Rfft(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const dsp::BasicRfftPlan<T>& plan = dsp::rplan_of<T>(n);
+  std::mt19937_64 rng(8);
+  std::normal_distribution<double> g(0.0, 1.0);
+  std::vector<T> x(n);
+  for (auto& v : x) v = static_cast<T>(g(rng));
+  std::vector<std::complex<T>> spec(plan.spectrum_size());
+  dsp::Workspace ws;
+  for (auto _ : state) {
+    plan.forward(x, spec, ws);
+    benchmark::DoNotOptimize(spec.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Rfft<float>)->Arg(1024)->Arg(2048)->Arg(16384);
+BENCHMARK(BM_Rfft<double>)->Arg(1024)->Arg(2048)->Arg(16384);
+
+// The 960-point OFDM symbol transform (Bluestein over a 2,048-point
+// radix-2 core), forward and inverse alternately as demodulation and
+// modulation use it.
+void BM_Fft960(benchmark::State& state) {
+  const dsp::FftPlan& plan = dsp::plan_of(960);
+  std::mt19937_64 rng(9);
+  std::normal_distribution<double> g(0.0, 1.0);
+  std::vector<dsp::cplx> x(960), y(960);
+  for (auto& v : x) v = {g(rng), g(rng)};
+  dsp::Workspace ws;
+  for (auto _ : state) {
+    plan.forward(x, y, ws);
+    plan.inverse(y, x, ws);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Fft960);
 
 void BM_BandSelection(benchmark::State& state) {
   std::mt19937_64 rng(2);
@@ -90,6 +135,26 @@ void BM_EqualizerTrain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EqualizerTrain);
+
+void BM_EqualizerApply(benchmark::State& state) {
+  // One 480-tap equalizer over 8,000 received samples (the data decode's
+  // per-packet apply).
+  std::mt19937_64 rng(4);
+  std::normal_distribution<double> g(0.0, 1.0);
+  std::vector<double> tx(1027), h = {1.0, 0.0, 0.0, 0.4, 0.0, -0.2};
+  for (auto& v : tx) v = g(rng);
+  std::vector<double> rx = dsp::convolve(tx, h);
+  rx.resize(tx.size());
+  const phy::MmseEqualizer eq = phy::MmseEqualizer::train(rx, tx, 480, 240);
+  std::vector<double> x(8000), out(8000);
+  for (auto& v : x) v = g(rng);
+  for (auto _ : state) {
+    eq.apply_into(x, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_EqualizerApply);
 
 void BM_DecodeOneSymbolPacket(benchmark::State& state) {
   // Paper: equalization + Viterbi per symbol in <20 ms (real-time bound).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "dsp/plan_cache.h"
@@ -49,13 +50,16 @@ BasicFftPlan<T>::BasicFftPlan(std::size_t n) : n_(n) {
   m_ = pow2_ ? n : next_pow2(2 * n - 1);
 
   // Bit-reversal permutation for the radix-2 work size.
+  if (m_ > std::size_t{UINT32_MAX}) {
+    throw std::invalid_argument("FftPlan: size exceeds the 32-bit index");
+  }
   bitrev_.assign(m_, 0);
   std::size_t log2m = 0;
   while ((std::size_t{1} << log2m) < m_) ++log2m;
   for (std::size_t i = 0; i < m_; ++i) {
-    std::size_t r = 0;
+    std::uint32_t r = 0;
     for (std::size_t b = 0; b < log2m; ++b) {
-      if (i & (std::size_t{1} << b)) r |= std::size_t{1} << (log2m - 1 - b);
+      if (i & (std::size_t{1} << b)) r |= std::uint32_t{1} << (log2m - 1 - b);
     }
     bitrev_[i] = r;
   }
@@ -92,33 +96,30 @@ BasicFftPlan<T>::BasicFftPlan(std::size_t n) : n_(n) {
       b[k] = std::conj(chirp_[k]);
       b[m_ - k] = std::conj(chirp_[k]);
     }
-    radix2(b, /*invert=*/false);
-    chirp_fft_ = std::move(b);
+    chirp_fft_.resize(m_);
+    gather(b, chirp_fft_);
+    stages(chirp_fft_, /*invert=*/false);
   }
 }
 
 template <typename T>
-void BasicFftPlan<T>::radix2(std::span<C> data, bool invert) const {
-  const std::size_t m = data.size();
+void BasicFftPlan<T>::stages(std::span<C> data, bool invert) const {
   // Must fail loudly in release builds too: transforming with a mismatched
   // plan would silently produce garbage spectra.
-  if (m != m_) {
+  if (data.size() != m_) {
     // lint: throw-ok(caller-bug guard before the butterfly loop; never fires on well-formed input)
     throw std::invalid_argument("FftPlan: radix-2 work size mismatch");
   }
-  for (std::size_t i = 0; i < m; ++i) {
-    const std::size_t j = bitrev_[i];
-    if (i < j) std::swap(data[i], data[j]);
-  }
-  // Butterfly stages through the SIMD dispatch: each stage's twiddles are
-  // contiguous in stage_tw_, and one kernel call runs the whole stage. The
+  // Every butterfly stage in one call through the SIMD dispatch; stage
+  // `half` reads its twiddles from stage_tw_[half - 1, 2 * half - 1). The
   // kernel's unfused multiply tree reproduces the historical std::complex
   // product bit for bit.
-  const simd::Kernels& kern = simd::active();
-  for (std::size_t half = 1; half < m; half <<= 1) {
-    simd::butterfly(kern, data.data(), stage_tw_.data() + (half - 1), m, half,
-                    invert);
-  }
+  simd::fft_stages(simd::active(), data.data(), stage_tw_.data(), m_, invert);
+}
+
+template <typename T>
+void BasicFftPlan<T>::gather(std::span<const C> in, std::span<C> out) const {
+  for (std::size_t i = 0; i < m_; ++i) out[i] = in[bitrev_[i]];
 }
 
 template <typename T>
@@ -129,30 +130,48 @@ void BasicFftPlan<T>::transform(std::span<const C> in, std::span<C> out,
     throw std::invalid_argument("FftPlan: buffer size mismatch");
   }
   if (pow2_) {
-    // Radix-2 runs in place on `out` (n_ == m_ here).
-    if (in.data() != out.data()) std::copy(in.begin(), in.end(), out.begin());
-    radix2(out, invert);
+    // Radix-2 runs in place on `out` (n_ == m_ here), loaded in
+    // bit-reversed order by one gather; an aliased call permutes in place.
+    if (in.data() != out.data()) {
+      gather(in, out);
+    } else {
+      for (std::size_t i = 0; i < m_; ++i) {
+        const std::size_t j = bitrev_[i];
+        if (i < j) std::swap(out[i], out[j]);
+      }
+    }
+    stages(out, invert);
     return;
   }
   // Bluestein: X[k] = conj-chirp convolution. For the inverse transform we
   // conjugate input and output of the forward machinery. The chirp loops
   // are spelled in real arithmetic for the reason given in the untwiddle
   // of BasicRfftPlan::forward; chirp_product keeps the std::complex
-  // product's exact results.
+  // product's exact results. The chirped input is written straight into
+  // bit-reversed order (slot i holds sample bitrev_[i]; samples >= n_ are
+  // the zero padding), and the product spectrum is gathered into a second
+  // scratch buffer before the inverse pass.
   Scratch<C> a_s(ws, m_);
   std::span<C> a = a_s.span();
-  for (std::size_t k = 0; k < n_; ++k) {
-    const T xi = invert ? -in[k].imag() : in[k].imag();
-    a[k] = chirp_product(in[k].real(), xi, chirp_[k]);
+  for (std::size_t i = 0; i < m_; ++i) {
+    const std::size_t k = bitrev_[i];
+    if (k < n_) {
+      const T xi = invert ? -in[k].imag() : in[k].imag();
+      a[i] = chirp_product(in[k].real(), xi, chirp_[k]);
+    } else {
+      a[i] = C{};
+    }
   }
-  std::fill(a.begin() + static_cast<std::ptrdiff_t>(n_), a.end(), C{});
-  radix2(a, /*invert=*/false);
+  stages(a, /*invert=*/false);
   simd::cmul_inplace(simd::active(), a.data(), chirp_fft_.data(), m_);
-  radix2(a, /*invert=*/true);
+  Scratch<C> b_s(ws, m_);
+  std::span<C> b = b_s.span();
+  gather(a, b);
+  stages(b, /*invert=*/true);
   const T scale = T(1.0) / static_cast<T>(m_);
   for (std::size_t k = 0; k < n_; ++k) {
     const C y =
-        chirp_product(a[k].real() * scale, a[k].imag() * scale, chirp_[k]);
+        chirp_product(b[k].real() * scale, b[k].imag() * scale, chirp_[k]);
     out[k] = {y.real(), invert ? -y.imag() : y.imag()};
   }
 }
@@ -220,12 +239,23 @@ void BasicRfftPlan<T>::forward(std::span<const T> in, std::span<C> out,
     return;
   }
   // Pack adjacent samples into one half-size complex signal and transform.
-  Scratch<C> z_s(ws, h_);
+  // A power-of-two half packs straight into bit-reversed order, so the
+  // pack is the radix-2 core's only data movement.
   Scratch<C> zf_s(ws, h_);
-  std::span<C> z = z_s.span();
-  for (std::size_t k = 0; k < h_; ++k) z[k] = {in[2 * k], in[2 * k + 1]};
   std::span<C> zf = zf_s.span();
-  half_->forward(z, zf, ws);
+  if (half_->pow2_) {
+    const std::uint32_t* br = half_->bitrev_.data();
+    for (std::size_t k = 0; k < h_; ++k) {
+      const std::size_t j = br[k];
+      zf[k] = {in[2 * j], in[2 * j + 1]};
+    }
+    half_->stages(zf, /*invert=*/false);
+  } else {
+    Scratch<C> z_s(ws, h_);
+    std::span<C> z = z_s.span();
+    for (std::size_t k = 0; k < h_; ++k) z[k] = {in[2 * k], in[2 * k + 1]};
+    half_->forward(z, zf, ws);
+  }
   // Untwiddle: split Z into the spectra of the even/odd sample streams
   // (E = (Z_k + conj(Z_{h-k}))/2, O = -j (Z_k - conj(Z_{h-k}))/2) and
   // recombine as X_k = E + W^k O with W = e^{-j 2 pi / n}.
@@ -278,24 +308,40 @@ void BasicRfftPlan<T>::inverse(std::span<const C> in, std::span<T> out,
   // W^k O = (X_k - conj(X_{h-k}))/2, Z_k = E + j conj(W^k) (W^k O); then
   // one half-size inverse transform un-interleaves the samples.
   Scratch<C> zf_s(ws, h_);
-  Scratch<C> z_s(ws, h_);
   std::span<C> zf = zf_s.span();
   // Real arithmetic for the same reason as in forward().
   const T half_scale = T(0.5);
-  for (std::size_t k = 0; k < h_; ++k) {
+  const auto untwiddle = [&](std::size_t k) -> C {
     const T xr = in[k].real(), xi = in[k].imag();
     const T cr = in[h_ - k].real(), ci = -in[h_ - k].imag();  // conj
     const T er = half_scale * (xr + cr), ei = half_scale * (xi + ci);
     const T owr = half_scale * (xr - cr), owi = half_scale * (xi - ci);
     const T wr = twiddle_[k].real(), wi = -twiddle_[k].imag();  // conj
     const T orr = wr * owr - wi * owi, oi = wr * owi + wi * owr;
-    zf[k] = {er - oi, ei + orr};  // E + j O
+    return {er - oi, ei + orr};  // E + j O
+  };
+  if (!half_->pow2_) {
+    Scratch<C> z_s(ws, h_);
+    for (std::size_t k = 0; k < h_; ++k) zf[k] = untwiddle(k);
+    std::span<C> z = z_s.span();
+    half_->inverse(zf, z, ws);
+    for (std::size_t k = 0; k < h_; ++k) {
+      out[2 * k] = z[k].real();
+      out[2 * k + 1] = z[k].imag();
+    }
+    return;
   }
-  std::span<C> z = z_s.span();
-  half_->inverse(zf, z, ws);
+  // A power-of-two half takes bin bitrev[k] into slot k, so the untwiddle
+  // is the radix-2 core's input permutation, and the inverse's 1/h scale
+  // (one multiply per part, as in BasicFftPlan::inverse) rides on the
+  // de-interleave.
+  const std::uint32_t* br = half_->bitrev_.data();
+  for (std::size_t k = 0; k < h_; ++k) zf[k] = untwiddle(br[k]);
+  half_->stages(zf, /*invert=*/true);
+  const T scale = T(1.0) / static_cast<T>(h_);
   for (std::size_t k = 0; k < h_; ++k) {
-    out[2 * k] = z[k].real();
-    out[2 * k + 1] = z[k].imag();
+    out[2 * k] = zf[k].real() * scale;
+    out[2 * k + 1] = zf[k].imag() * scale;
   }
 }
 

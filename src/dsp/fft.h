@@ -1,8 +1,10 @@
 // Fast Fourier transforms implemented from scratch.
 //
-// Power-of-two sizes use an iterative radix-2 Cooley-Tukey kernel whose
-// butterfly stages run through the runtime SIMD dispatch (dsp/simd.h); every
-// other size (e.g. the 960-point OFDM symbol used by the modem) goes through
+// Power-of-two sizes use an iterative radix-2 Cooley-Tukey kernel: the
+// bit-reversal permutation is folded into the copy, pack, untwiddle or chirp
+// pass that fills the work buffer, and all butterfly stages then run in one
+// call through the runtime SIMD dispatch (dsp/simd.h). Every other size
+// (e.g. the 960-point OFDM symbol used by the modem) goes through
 // Bluestein's chirp-z algorithm built on top of the radix-2 kernel. Plans are
 // cached per size so repeated transforms only pay for twiddle generation once;
 // the cache read path is contention-free (per-thread pointer map backed by a
@@ -17,6 +19,7 @@
 #pragma once
 
 #include <complex>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -24,6 +27,9 @@
 #include "dsp/workspace.h"
 
 namespace aqua::dsp {
+
+template <typename T>
+class BasicRfftPlan;
 
 /// Reusable FFT plan for a fixed transform size and sample type. Immutable
 /// after construction, so one plan may be shared by any number of threads.
@@ -54,15 +60,20 @@ class BasicFftPlan {
   void inverse(std::span<const C> in, std::span<C> out) const;
 
  private:
-  void radix2(std::span<C> data, bool invert) const;
+  // The radix-2 core over the work size m_. Callers write its input in
+  // bit-reversed order (`out[i] = in[bitrev_[i]]`, folded into the copy,
+  // pack or chirp pass each already makes), then `stages` runs every
+  // butterfly stage in one kernel call.
+  void stages(std::span<C> data, bool invert) const;
+  void gather(std::span<const C> in, std::span<C> out) const;
   void transform(std::span<const C> in, std::span<C> out, bool invert,
                  Workspace& ws) const;
 
   std::size_t n_ = 0;
   bool pow2_ = false;
   // Radix-2 machinery (for n_ itself when pow2_, else for bluestein size m_).
-  std::size_t m_ = 0;                // power-of-two work size
-  std::vector<std::size_t> bitrev_;  // bit-reversal permutation for m_
+  std::size_t m_ = 0;                  // power-of-two work size
+  std::vector<std::uint32_t> bitrev_;  // bit-reversal permutation for m_
   // Per-stage contiguous twiddles for the SIMD butterfly kernel: the stage
   // with half-block `h` owns entries [h-1, 2h-1) = w_m^{k * (m/2h)} for
   // k < h; m-1 entries total.
@@ -71,6 +82,7 @@ class BasicFftPlan {
   std::vector<C> chirp_;      // e^{-j pi k^2 / n}
   std::vector<C> chirp_fft_;  // FFT of the zero-padded conjugate chirp
 
+  friend class BasicRfftPlan<T>;  // packs and untwiddles in permuted order
   friend struct FftPlanTestPeer;  // white-box access for the throw test
 };
 

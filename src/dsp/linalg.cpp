@@ -49,29 +49,36 @@ std::vector<double> levinson_solve(std::span<const double> r,
   if (std::abs(r[0]) < 1e-300) {
     throw std::runtime_error("levinson_solve: singular system");
   }
-  // f: forward vector solving T f = e1 for the current order.
-  std::vector<double> f{1.0 / r[0]};
-  std::vector<double> x{b[0] / r[0]};
+  // f: forward vector solving T f = e1 for the current order; fn receives
+  // the next order's (the two swap each order). x: the solution, grown one
+  // entry per order from zeros.
+  std::vector<double> f(n, 0.0), fn(n, 0.0), x(n, 0.0);
+  f[0] = 1.0 / r[0];
+  x[0] = b[0] / r[0];
   for (std::size_t m = 1; m < n; ++m) {
-    // Error in extending the forward vector by a zero.
-    double ef = 0.0;
-    for (std::size_t i = 0; i < m; ++i) ef += r[m - i] * f[i];
+    // Errors in extending the forward vector and the solution by a zero.
+    double ef = 0.0, ex = 0.0;
+    for (std::size_t i = 0; i < m; ++i) {
+      ef += r[m - i] * f[i];
+      ex += r[m - i] * x[i];
+    }
     const double denom = 1.0 - ef * ef;
     if (std::abs(denom) < 1e-300) {
         throw std::runtime_error("levinson_solve: singular leading minor");
     }
-    // New forward vector (symmetric Toeplitz => backward = reversed forward).
-    std::vector<double> fn(m + 1, 0.0);
+    // New forward vector (symmetric Toeplitz => backward = reversed
+    // forward): fn[i] = alpha f[i] + beta f[m - i], each term added to a
+    // zero start as the order's accumulation always has.
     const double alpha = 1.0 / denom;
     const double beta = -ef / denom;
-    for (std::size_t i = 0; i < m; ++i) fn[i] += alpha * f[i];
-    for (std::size_t i = 0; i < m; ++i) fn[i + 1] += beta * f[m - 1 - i];
-    f = std::move(fn);
+    fn[0] = 0.0 + alpha * f[0];
+    for (std::size_t i = 1; i < m; ++i) {
+      fn[i] = (0.0 + alpha * f[i]) + beta * f[m - i];
+    }
+    fn[m] = 0.0 + beta * f[0];
+    f.swap(fn);
     // Extend solution.
-    double ex = 0.0;
-    for (std::size_t i = 0; i < m; ++i) ex += r[m - i] * x[i];
     const double scale = b[m] - ex;
-    x.push_back(0.0);
     for (std::size_t i = 0; i <= m; ++i) x[i] += scale * f[m - i];
   }
   return x;

@@ -81,46 +81,50 @@ void scalar_sdft_update_f(float* acc, const float* row, float d,
   for (std::size_t i = 0; i < n; ++i) acc[i] = std::fma(d, row[i], acc[i]);
 }
 
-// One butterfly stage, block by block (the scalar reference for both
-// precisions: the same tree evaluated in T).
+// Every butterfly stage of one transform, stage by stage and block by
+// block (the scalar reference for both precisions: the same tree
+// evaluated in T).
 template <typename T>
-void scalar_butterfly_stage(std::complex<T>* data, const std::complex<T>* w,
-                            std::size_t m, std::size_t half, bool conj_w) {
+void scalar_fft_stages_t(std::complex<T>* data, const std::complex<T>* tw,
+                         std::size_t m, bool conj_w) {
   const T s = conj_w ? T(-1) : T(1);
-  for (std::size_t start = 0; start < m; start += 2 * half) {
-    std::complex<T>* a = data + start;
-    std::complex<T>* b = a + half;
-    for (std::size_t i = 0; i < half; ++i) {
-      const T wr = w[i].real(), wi = s * w[i].imag();
-      const T br = b[i].real(), bi = b[i].imag();
-      const T vr = br * wr - bi * wi;
-      const T vi = br * wi + bi * wr;
-      const T ur = a[i].real(), ui = a[i].imag();
-      a[i] = {ur + vr, ui + vi};
-      b[i] = {ur - vr, ui - vi};
+  for (std::size_t half = 1; half < m; half <<= 1) {
+    const std::complex<T>* w = tw + (half - 1);
+    for (std::size_t start = 0; start < m; start += 2 * half) {
+      std::complex<T>* a = data + start;
+      std::complex<T>* b = a + half;
+      for (std::size_t i = 0; i < half; ++i) {
+        const T wr = w[i].real(), wi = s * w[i].imag();
+        const T br = b[i].real(), bi = b[i].imag();
+        const T vr = br * wr - bi * wi;
+        const T vi = br * wi + bi * wr;
+        const T ur = a[i].real(), ui = a[i].imag();
+        a[i] = {ur + vr, ui + vi};
+        b[i] = {ur - vr, ui - vi};
+      }
     }
   }
 }
 
-void scalar_butterfly(cplx* data, const cplx* w, std::size_t m,
-                      std::size_t half, bool conj_w) {
-  scalar_butterfly_stage(data, w, m, half, conj_w);
+void scalar_fft_stages(cplx* data, const cplx* tw, std::size_t m,
+                       bool conj_w) {
+  scalar_fft_stages_t(data, tw, m, conj_w);
 }
 
-void scalar_butterfly_f(cplxf* data, const cplxf* w, std::size_t m,
-                        std::size_t half, bool conj_w) {
-  scalar_butterfly_stage(data, w, m, half, conj_w);
+void scalar_fft_stages_f(cplxf* data, const cplxf* tw, std::size_t m,
+                         bool conj_w) {
+  scalar_fft_stages_t(data, tw, m, conj_w);
 }
 
 constexpr Kernels kScalarKernels{"scalar",
                                  scalar_cmul_inplace,
                                  scalar_dot,
                                  scalar_sdft_update,
-                                 scalar_butterfly,
+                                 scalar_fft_stages,
                                  scalar_cmul_inplace_f,
                                  scalar_dot_f,
                                  scalar_sdft_update_f,
-                                 scalar_butterfly_f};
+                                 scalar_fft_stages_f};
 
 // Widest supported target among those compiled in, in preference order.
 const Kernels* detect() {

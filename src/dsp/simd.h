@@ -15,9 +15,10 @@
 //     multiply-accumulate per running-sum component per sample in
 //     `moving_dft_power`'s recurrence, a contiguous axpy against one row
 //     of the per-numerology phasor table (no gathers, no phase lanes).
-//   * `butterfly` — one whole radix-2 FFT butterfly stage: twiddle
-//     multiply plus add/sub over every half-block pair of the stage, the
-//     inner loop of every power-of-two transform.
+//   * `fft_stages` — every radix-2 butterfly stage of one power-of-two
+//     transform on data the plan has already put in bit-reversed order:
+//     twiddle multiply plus add/sub over every half-block pair, stage
+//     after stage, in one call.
 //
 // Each family has a double entry and a float entry (`*_f`), the float one
 // running twice the lanes at the same vector width — that is the whole
@@ -75,20 +76,24 @@ struct Kernels {
   void (*sdft_update)(double* acc, const double* row, double d,
                       std::size_t n);
 
-  /// One whole radix-2 butterfly stage over `m` points with half-block
-  /// `half` (m a multiple of 2 * half): for every block start
-  /// s = 0, 2*half, ..., m - 2*half and every i < half, with
-  /// a = data[s + i], b = data[s + half + i] and
-  /// w_i = conj_w ? conj(w[i]) : w[i],
+  /// Every radix-2 butterfly stage of an `m`-point transform (m a power
+  /// of two) over data already in bit-reversed order. Stage `half` runs
+  /// for half = 1, 2, 4, ..., m/2, each stage complete before the next
+  /// reads its outputs: for every block start s = 0, 2*half, ...,
+  /// m - 2*half and every i < half, with a = data[s + i],
+  /// b = data[s + half + i], w = tw[half - 1 + i] and
+  /// w_i = conj_w ? conj(w) : w,
   ///   v = b * w_i   (plain mul/sub tree: vr = br*wr - bi*wi,
   ///                  vi = br*wi + bi*wr — NOT fused, matching the
   ///                  historical std::complex product so double FFT
   ///                  results are unchanged from the scalar era)
   ///   a = a + v;  b = a_old - v.
-  /// One call per stage, so the first stages' m/2 tiny blocks cost no
-  /// per-block dispatch.
-  void (*butterfly)(cplx* data, const cplx* w, std::size_t m,
-                    std::size_t half, bool conj_w);
+  /// The scalar entry runs exactly that loop and is the reference. A
+  /// vector entry may run several stages per pass over a block, or finish
+  /// the small stages of one cache-sized block before the next, since
+  /// every element still meets the same butterflies in the same order.
+  void (*fft_stages)(cplx* data, const cplx* tw, std::size_t m,
+                     bool conj_w);
 
   /// Single-precision twins of the four kernels above. Same expression
   /// trees evaluated in float (std::fma -> fmaf; dot_f uses 8 lanes with
@@ -97,8 +102,8 @@ struct Kernels {
   float (*dot_f)(const float* a, const float* b, std::size_t n);
   void (*sdft_update_f)(float* acc, const float* row, float d,
                         std::size_t n);
-  void (*butterfly_f)(cplxf* data, const cplxf* w, std::size_t m,
-                      std::size_t half, bool conj_w);
+  void (*fft_stages_f)(cplxf* data, const cplxf* tw, std::size_t m,
+                       bool conj_w);
 };
 
 /// The kernel table selected for this process: the widest ISA the CPU
@@ -148,13 +153,13 @@ inline void sdft_update(const Kernels& k, float* acc, const float* row,
   k.sdft_update_f(acc, row, d, n);
 }
 
-inline void butterfly(const Kernels& k, cplx* data, const cplx* w,
-                      std::size_t m, std::size_t half, bool conj_w) {
-  k.butterfly(data, w, m, half, conj_w);
+inline void fft_stages(const Kernels& k, cplx* data, const cplx* tw,
+                       std::size_t m, bool conj_w) {
+  k.fft_stages(data, tw, m, conj_w);
 }
-inline void butterfly(const Kernels& k, cplxf* data, const cplxf* w,
-                      std::size_t m, std::size_t half, bool conj_w) {
-  k.butterfly_f(data, w, m, half, conj_w);
+inline void fft_stages(const Kernels& k, cplxf* data, const cplxf* tw,
+                       std::size_t m, bool conj_w) {
+  k.fft_stages_f(data, tw, m, conj_w);
 }
 
 }  // namespace aqua::dsp::simd

@@ -14,6 +14,8 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+
 namespace aqua::dsp::simd {
 
 namespace {
@@ -63,76 +65,6 @@ void avx2_sdft_update(double* acc, const double* row, double d,
   }
   for (std::size_t i = n4; i < n; ++i) {
     acc[i] = __builtin_fma(d, row[i], acc[i]);
-  }
-}
-
-// v = b*w with the unfused legacy tree for two complex per vector: even
-// lanes br*wr - bi*wi, odd lanes bi*wr + br*wi (separate mul then addsub —
-// no contraction). `wv` is already conjugated when the stage asks for it.
-inline __m256d avx2_legacy_cmul(__m256d bv, __m256d wv) {
-  const __m256d wr = _mm256_movedup_pd(wv);          // [wr0 wr0 wr1 wr1]
-  const __m256d wi = _mm256_permute_pd(wv, 0b1111);  // [wi0 wi0 wi1 wi1]
-  const __m256d bs = _mm256_permute_pd(bv, 0b0101);  // [bi0 br0 bi1 br1]
-  const __m256d t = _mm256_mul_pd(bs, wi);           // [bi*wi br*wi ...]
-  return _mm256_addsub_pd(_mm256_mul_pd(bv, wr), t);
-}
-
-// Scalar reference body for one butterfly (the odd tail of a block).
-inline void avx2_butterfly_one(cplx& a, cplx& b, const cplx& w, double s) {
-  const double wr = w.real(), wi = s * w.imag();
-  const double br = b.real(), bi = b.imag();
-  const double vr = br * wr - bi * wi;
-  const double vi = br * wi + bi * wr;
-  const double ur = a.real(), ui = a.imag();
-  a = {ur + vr, ui + vi};
-  b = {ur - vr, ui - vi};
-}
-
-void avx2_butterfly(cplx* data, const cplx* w, std::size_t m,
-                    std::size_t half, bool conj_w) {
-  auto* d = reinterpret_cast<double*>(data);
-  const auto* wd = reinterpret_cast<const double*>(w);
-  const double s = conj_w ? -1.0 : 1.0;
-  // XOR-ing the imaginary lanes with -0.0 conjugates exactly (sign flip).
-  const __m256d conj_mask = conj_w ? _mm256_set_pd(-0.0, 0.0, -0.0, 0.0)
-                                   : _mm256_setzero_pd();
-  if (half == 1) {
-    // Every block is one adjacent (a, b) pair sharing w[0]: gather two
-    // blocks' a's into one vector and their b's into another.
-    const __m256d wv = _mm256_xor_pd(
-        _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(wd)), conj_mask);
-    const std::size_t m4 = m & ~std::size_t{3};
-    for (std::size_t k = 0; k < m4; k += 4) {
-      const __m256d p0 = _mm256_loadu_pd(d + 2 * k);      // [a0 b0]
-      const __m256d p1 = _mm256_loadu_pd(d + 2 * k + 4);  // [a1 b1]
-      const __m256d av = _mm256_permute2f128_pd(p0, p1, 0x20);  // [a0 a1]
-      const __m256d bv = _mm256_permute2f128_pd(p0, p1, 0x31);  // [b0 b1]
-      const __m256d v = avx2_legacy_cmul(bv, wv);
-      const __m256d sum = _mm256_add_pd(av, v);
-      const __m256d dif = _mm256_sub_pd(av, v);
-      _mm256_storeu_pd(d + 2 * k, _mm256_permute2f128_pd(sum, dif, 0x20));
-      _mm256_storeu_pd(d + 2 * k + 4, _mm256_permute2f128_pd(sum, dif, 0x31));
-    }
-    for (std::size_t k = m4; k < m; k += 2) {
-      avx2_butterfly_one(data[k], data[k + 1], w[0], s);
-    }
-    return;
-  }
-  const std::size_t n2 = half & ~std::size_t{1};  // two complex per vector
-  for (std::size_t start = 0; start < m; start += 2 * half) {
-    double* ad = d + 2 * start;
-    double* bd = ad + 2 * half;
-    for (std::size_t i = 0; i < n2; i += 2) {
-      const __m256d wv =
-          _mm256_xor_pd(_mm256_loadu_pd(wd + 2 * i), conj_mask);
-      const __m256d v = avx2_legacy_cmul(_mm256_loadu_pd(bd + 2 * i), wv);
-      const __m256d av = _mm256_loadu_pd(ad + 2 * i);
-      _mm256_storeu_pd(ad + 2 * i, _mm256_add_pd(av, v));
-      _mm256_storeu_pd(bd + 2 * i, _mm256_sub_pd(av, v));
-    }
-    for (std::size_t i = n2; i < half; ++i) {
-      avx2_butterfly_one(data[start + i], data[start + half + i], w[i], s);
-    }
   }
 }
 
@@ -189,88 +121,229 @@ void avx2_sdft_update_f(float* acc, const float* row, float d,
   }
 }
 
-// Float twin of avx2_legacy_cmul: four complex per vector.
-inline __m256 avx2_legacy_cmul_f(__m256 bv, __m256 wv) {
-  const __m256 wr = _mm256_moveldup_ps(wv);
-  const __m256 wi = _mm256_movehdup_ps(wv);
-  const __m256 bs = _mm256_permute_ps(bv, 0b10110001);
-  const __m256 t = _mm256_mul_ps(bs, wi);
-  return _mm256_addsub_ps(_mm256_mul_ps(bv, wr), t);
+// ---------------------------------------------------------------------------
+// Whole-transform butterfly stages. A traits struct per precision names the
+// vector type and the few operations the passes need, so the pass
+// structure below is written once for both.
+// ---------------------------------------------------------------------------
+
+struct F64x2 {  // two complex double per vector
+  using C = cplx;
+  using V = __m256d;
+  static constexpr std::size_t kLanes = 2;
+  static V load(const C* p) {
+    return _mm256_loadu_pd(reinterpret_cast<const double*>(p));
+  }
+  static void store(C* p, V v) {
+    _mm256_storeu_pd(reinterpret_cast<double*>(p), v);
+  }
+  static V add(V a, V b) { return _mm256_add_pd(a, b); }
+  static V sub(V a, V b) { return _mm256_sub_pd(a, b); }
+  static V flip(V a, V mask) { return _mm256_xor_pd(a, mask); }
+  // XOR-ing the imaginary lanes with -0.0 conjugates exactly (sign flip).
+  static V conj_mask(bool conj_w) {
+    return conj_w ? _mm256_set_pd(-0.0, 0.0, -0.0, 0.0) : _mm256_setzero_pd();
+  }
+  // v = b*w with the unfused legacy tree: even lanes br*wr - bi*wi, odd
+  // lanes bi*wr + br*wi (separate mul then addsub — no contraction). `wv`
+  // is already conjugated when the transform asks for it.
+  static V cmul(V bv, V wv) {
+    const __m256d wr = _mm256_movedup_pd(wv);          // [wr0 wr0 wr1 wr1]
+    const __m256d wi = _mm256_permute_pd(wv, 0b1111);  // [wi0 wi0 wi1 wi1]
+    const __m256d bs = _mm256_permute_pd(bv, 0b0101);  // [bi0 br0 bi1 br1]
+    const __m256d t = _mm256_mul_pd(bs, wi);           // [bi*wi br*wi ...]
+    return _mm256_addsub_pd(_mm256_mul_pd(bv, wr), t);
+  }
+};
+
+struct F32x4 {  // four complex float per vector
+  using C = cplxf;
+  using V = __m256;
+  static constexpr std::size_t kLanes = 4;
+  static V load(const C* p) {
+    return _mm256_loadu_ps(reinterpret_cast<const float*>(p));
+  }
+  static void store(C* p, V v) {
+    _mm256_storeu_ps(reinterpret_cast<float*>(p), v);
+  }
+  static V add(V a, V b) { return _mm256_add_ps(a, b); }
+  static V sub(V a, V b) { return _mm256_sub_ps(a, b); }
+  static V flip(V a, V mask) { return _mm256_xor_ps(a, mask); }
+  static V conj_mask(bool conj_w) {
+    return conj_w ? _mm256_set_ps(-0.0f, 0.0f, -0.0f, 0.0f, -0.0f, 0.0f,
+                                  -0.0f, 0.0f)
+                  : _mm256_setzero_ps();
+  }
+  static V cmul(V bv, V wv) {
+    const __m256 wr = _mm256_moveldup_ps(wv);
+    const __m256 wi = _mm256_movehdup_ps(wv);
+    const __m256 bs = _mm256_permute_ps(bv, 0b10110001);
+    const __m256 t = _mm256_mul_ps(bs, wi);
+    return _mm256_addsub_ps(_mm256_mul_ps(bv, wr), t);
+  }
+};
+
+// One butterfly per complex lane: (a, b) <- (a + b*w, a - b*w).
+template <class P>
+inline void bfly(typename P::V& a, typename P::V& b, typename P::V w) {
+  const typename P::V v = P::cmul(b, w);
+  const typename P::V u = a;
+  a = P::add(u, v);
+  b = P::sub(u, v);
 }
 
-inline void avx2_butterfly_one_f(cplxf& a, cplxf& b, const cplxf& w,
-                                 float s) {
-  const float wr = w.real(), wi = s * w.imag();
-  const float br = b.real(), bi = b.imag();
-  const float vr = br * wr - bi * wi;
-  const float vi = br * wi + bi * wr;
-  const float ur = a.real(), ui = a.imag();
-  a = {ur + vr, ui + vi};
-  b = {ur - vr, ui - vi};
+// Stages 1 and 2 over [d, d + len) (len a multiple of 4), two complex
+// double per vector. Stage 1 pairs neighbours, so the 128-bit halves of
+// [x0 x1] [x2 x3] are regrouped into [x0 x2] / [x1 x3]; stage 2's pairs
+// are then the halves of its outputs [y0 y2] / [y1 y3], regrouped into
+// [y0 y1] / [y2 y3], which already are the output order.
+inline void first_two_stages(cplx* d, const cplx* tw, std::size_t len,
+                             __m256d conj) {
+  const __m256d w1 = F64x2::flip(
+      _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(tw)), conj);
+  const __m256d w2 = F64x2::flip(F64x2::load(tw + 1), conj);
+  for (std::size_t k = 0; k < len; k += 4) {
+    const __m256d p0 = F64x2::load(d + k);
+    const __m256d p1 = F64x2::load(d + k + 2);
+    __m256d a = _mm256_permute2f128_pd(p0, p1, 0x20);  // [x0 x2]
+    __m256d b = _mm256_permute2f128_pd(p0, p1, 0x31);  // [x1 x3]
+    bfly<F64x2>(a, b, w1);                             // [y0 y2] [y1 y3]
+    __m256d a2 = _mm256_permute2f128_pd(a, b, 0x20);   // [y0 y1]
+    __m256d b2 = _mm256_permute2f128_pd(a, b, 0x31);   // [y2 y3]
+    bfly<F64x2>(a2, b2, w2);
+    F64x2::store(d + k, a2);
+    F64x2::store(d + k + 2, b2);
+  }
 }
 
-void avx2_butterfly_f(cplxf* data, const cplxf* w, std::size_t m,
-                      std::size_t half, bool conj_w) {
-  auto* f = reinterpret_cast<float*>(data);
-  const auto* wf = reinterpret_cast<const float*>(w);
-  const float s = conj_w ? -1.0f : 1.0f;
-  const __m256 conj_mask =
-      conj_w ? _mm256_set_ps(-0.0f, 0.0f, -0.0f, 0.0f, -0.0f, 0.0f, -0.0f,
-                             0.0f)
-             : _mm256_setzero_ps();
-  const std::size_t m8 = m & ~std::size_t{7};
-  if (half == 1) {
-    // Four (a, b) pairs per two vectors. A complex float is one 64-bit
-    // lane, so the pd unpacks split a's from b's ([a0 a2 a1 a3] /
-    // [b0 b2 b1 b3]) and the same unpacks put them back.
-    const __m256 wv = _mm256_xor_ps(
-        _mm256_castpd_ps(
-            _mm256_broadcast_sd(reinterpret_cast<const double*>(wf))),
-        conj_mask);
-    for (std::size_t k = 0; k < m8; k += 8) {
-      const __m256d p0 = _mm256_castps_pd(_mm256_loadu_ps(f + 2 * k));
-      const __m256d p1 = _mm256_castps_pd(_mm256_loadu_ps(f + 2 * k + 8));
-      const __m256 av = _mm256_castpd_ps(_mm256_unpacklo_pd(p0, p1));
-      const __m256 bv = _mm256_castpd_ps(_mm256_unpackhi_pd(p0, p1));
-      const __m256 v = avx2_legacy_cmul_f(bv, wv);
-      const __m256d sum = _mm256_castps_pd(_mm256_add_ps(av, v));
-      const __m256d dif = _mm256_castps_pd(_mm256_sub_ps(av, v));
-      _mm256_storeu_ps(f + 2 * k,
-                       _mm256_castpd_ps(_mm256_unpacklo_pd(sum, dif)));
-      _mm256_storeu_ps(f + 2 * k + 8,
-                       _mm256_castpd_ps(_mm256_unpackhi_pd(sum, dif)));
+// Stages 1 and 2 over [d, d + len) (len a multiple of 8), four complex
+// float per vector. A complex float is one 64-bit lane, so stage 1 splits
+// [x0 x1 x2 x3] [x4 x5 x6 x7] with pd unpacks into [x0 x4 x2 x6] /
+// [x1 x5 x3 x7] and the same unpacks restore the order; stage 2 then
+// pairs the 128-bit halves: [y0 y1 y4 y5] / [y2 y3 y6 y7] against
+// [w0 w1 w0 w1].
+inline void first_two_stages(cplxf* d, const cplxf* tw, std::size_t len,
+                             __m256 conj) {
+  const __m256 w1 = F32x4::flip(
+      _mm256_castpd_ps(
+          _mm256_broadcast_sd(reinterpret_cast<const double*>(tw))),
+      conj);
+  const __m256 w2 = F32x4::flip(
+      _mm256_broadcast_ps(reinterpret_cast<const __m128*>(tw + 1)), conj);
+  for (std::size_t k = 0; k < len; k += 8) {
+    const __m256d p0 = _mm256_castps_pd(F32x4::load(d + k));
+    const __m256d p1 = _mm256_castps_pd(F32x4::load(d + k + 4));
+    __m256 a = _mm256_castpd_ps(_mm256_unpacklo_pd(p0, p1));
+    __m256 b = _mm256_castpd_ps(_mm256_unpackhi_pd(p0, p1));
+    bfly<F32x4>(a, b, w1);
+    const __m256d q0 = _mm256_unpacklo_pd(_mm256_castps_pd(a),
+                                          _mm256_castps_pd(b));  // [y0..y3]
+    const __m256d q1 = _mm256_unpackhi_pd(_mm256_castps_pd(a),
+                                          _mm256_castps_pd(b));  // [y4..y7]
+    __m256 a2 = _mm256_castpd_ps(_mm256_permute2f128_pd(q0, q1, 0x20));
+    __m256 b2 = _mm256_castpd_ps(_mm256_permute2f128_pd(q0, q1, 0x31));
+    bfly<F32x4>(a2, b2, w2);
+    F32x4::store(d + k, _mm256_permute2f128_ps(a2, b2, 0x20));
+    F32x4::store(d + k + 4, _mm256_permute2f128_ps(a2, b2, 0x31));
+  }
+}
+
+// Stage h alone over [d, d + len); h a multiple of the lane count.
+template <class P>
+void stage_pass(typename P::C* d, const typename P::C* tw, std::size_t len,
+                std::size_t h, typename P::V conj) {
+  const typename P::C* w = tw + (h - 1);
+  for (std::size_t s = 0; s < len; s += 2 * h) {
+    typename P::C* p = d + s;
+    for (std::size_t i = 0; i < h; i += P::kLanes) {
+      typename P::V a = P::load(p + i);
+      typename P::V b = P::load(p + h + i);
+      bfly<P>(a, b, P::flip(P::load(w + i), conj));
+      P::store(p + i, a);
+      P::store(p + h + i, b);
     }
-    for (std::size_t k = m8; k < m; k += 2) {
-      avx2_butterfly_one_f(data[k], data[k + 1], w[0], s);
+  }
+}
+
+// Stages h and 2h fused (radix-2^2): each group of four points passes
+// stage h, then stage 2h, while it sits in registers — one load and one
+// store per point for two stages.
+template <class P>
+void stage_pair_pass(typename P::C* d, const typename P::C* tw,
+                     std::size_t len, std::size_t h, typename P::V conj) {
+  const typename P::C* w1 = tw + (h - 1);
+  const typename P::C* w2 = tw + (2 * h - 1);
+  for (std::size_t s = 0; s < len; s += 4 * h) {
+    typename P::C* p = d + s;
+    for (std::size_t i = 0; i < h; i += P::kLanes) {
+      typename P::V x0 = P::load(p + i);
+      typename P::V x1 = P::load(p + h + i);
+      typename P::V x2 = P::load(p + 2 * h + i);
+      typename P::V x3 = P::load(p + 3 * h + i);
+      const typename P::V wa = P::flip(P::load(w1 + i), conj);
+      bfly<P>(x0, x1, wa);
+      bfly<P>(x2, x3, wa);
+      bfly<P>(x0, x2, P::flip(P::load(w2 + i), conj));
+      bfly<P>(x1, x3, P::flip(P::load(w2 + h + i), conj));
+      P::store(p + i, x0);
+      P::store(p + h + i, x1);
+      P::store(p + 2 * h + i, x2);
+      P::store(p + 3 * h + i, x3);
     }
+  }
+}
+
+// Stages h, 2h, 4h, ... below h_end over [d, d + len), fused in pairs
+// while two remain.
+template <class P>
+void stage_run(typename P::C* d, const typename P::C* tw, std::size_t len,
+               std::size_t h, std::size_t h_end, typename P::V conj) {
+  for (; 2 * h < h_end; h *= 4) stage_pair_pass<P>(d, tw, len, h, conj);
+  if (h < h_end) stage_pass<P>(d, tw, len, h, conj);
+}
+
+// Sub-transforms of this many bytes run all their stages before the next
+// one starts, so those stages stay in L1 (48 KB per core on the x86-64
+// parts this was tuned on); only the stages wider than a block make full
+// passes over the whole array.
+constexpr std::size_t kStageBlockBytes = 16384;
+
+template <class P>
+void avx2_fft_stages_t(typename P::C* data, const typename P::C* tw,
+                       std::size_t m, bool conj_w) {
+  if (m < 8) {  // too small for the vector passes: the reference loop
+    fft_stages(*kernels_for(Isa::kScalar), data, tw, m, conj_w);
     return;
   }
-  const std::size_t n4 = half & ~std::size_t{3};  // four complex per vector
-  for (std::size_t start = 0; start < m; start += 2 * half) {
-    float* af = f + 2 * start;
-    float* bf = af + 2 * half;
-    for (std::size_t i = 0; i < n4; i += 4) {
-      const __m256 wv = _mm256_xor_ps(_mm256_loadu_ps(wf + 2 * i), conj_mask);
-      const __m256 v = avx2_legacy_cmul_f(_mm256_loadu_ps(bf + 2 * i), wv);
-      const __m256 av = _mm256_loadu_ps(af + 2 * i);
-      _mm256_storeu_ps(af + 2 * i, _mm256_add_ps(av, v));
-      _mm256_storeu_ps(bf + 2 * i, _mm256_sub_ps(av, v));
-    }
-    for (std::size_t i = n4; i < half; ++i) {
-      avx2_butterfly_one_f(data[start + i], data[start + half + i], w[i], s);
-    }
+  const typename P::V conj = P::conj_mask(conj_w);
+  const std::size_t block =
+      std::min(m, kStageBlockBytes / sizeof(typename P::C));
+  for (std::size_t s = 0; s < m; s += block) {
+    first_two_stages(data + s, tw, block, conj);
+    stage_run<P>(data + s, tw, block, 4, block, conj);
   }
+  stage_run<P>(data, tw, m, block, m, conj);
+}
+
+void avx2_fft_stages(cplx* data, const cplx* tw, std::size_t m,
+                     bool conj_w) {
+  avx2_fft_stages_t<F64x2>(data, tw, m, conj_w);
+}
+
+void avx2_fft_stages_f(cplxf* data, const cplxf* tw, std::size_t m,
+                       bool conj_w) {
+  avx2_fft_stages_t<F32x4>(data, tw, m, conj_w);
 }
 
 constexpr Kernels kAvx2Kernels{"avx2",
                                avx2_cmul_inplace,
                                avx2_dot,
                                avx2_sdft_update,
-                               avx2_butterfly,
+                               avx2_fft_stages,
                                avx2_cmul_inplace_f,
                                avx2_dot_f,
                                avx2_sdft_update_f,
-                               avx2_butterfly_f};
+                               avx2_fft_stages_f};
 
 }  // namespace
 

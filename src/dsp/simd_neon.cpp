@@ -58,9 +58,8 @@ void neon_sdft_update(double* acc, const double* row, double d,
   if (n2 < n) acc[n2] = __builtin_fma(d, row[n2], acc[n2]);
 }
 
-void neon_butterfly(cplx* data, const cplx* w, std::size_t m,
-                    std::size_t half, bool conj_w) {
-  const auto* wd = reinterpret_cast<const double*>(w);
+void neon_fft_stages(cplx* data, const cplx* tw, std::size_t m,
+                     bool conj_w) {
   // XOR-ing with -0.0 flips signs exactly: conj_mask negates the imaginary
   // lane of w, neg_even negates the real lane of the cross product so a
   // plain add yields the br*wr - bi*wi / bi*wr + br*wi legacy tree.
@@ -68,27 +67,30 @@ void neon_butterfly(cplx* data, const cplx* w, std::size_t m,
   const uint64x2_t conj_mask =
       conj_w ? vsetq_lane_u64(sign, vdupq_n_u64(0), 1) : vdupq_n_u64(0);
   const uint64x2_t neg_even = vsetq_lane_u64(sign, vdupq_n_u64(0), 0);
-  // One complex per vector, so every block runs the same per-element body
-  // whatever its size.
-  for (std::size_t start = 0; start < m; start += 2 * half) {
-    auto* ad = reinterpret_cast<double*>(data + start);
-    auto* bd = reinterpret_cast<double*>(data + start + half);
-    for (std::size_t i = 0; i < half; ++i) {
-      // [wr wi]
-      const float64x2_t wv = vreinterpretq_f64_u64(veorq_u64(
-          vreinterpretq_u64_f64(vld1q_f64(wd + 2 * i)), conj_mask));
-      const float64x2_t bv = vld1q_f64(bd + 2 * i);  // [br bi]
-      const float64x2_t bs = vextq_f64(bv, bv, 1);   // [bi br]
-      const float64x2_t m1 =
-          vmulq_f64(bv, vdupq_laneq_f64(wv, 0));  // [br*wr bi*wr]
-      float64x2_t m2 =
-          vmulq_f64(bs, vdupq_laneq_f64(wv, 1));  // [bi*wi br*wi]
-      m2 = vreinterpretq_f64_u64(
-          veorq_u64(vreinterpretq_u64_f64(m2), neg_even));
-      const float64x2_t v = vaddq_f64(m1, m2);  // [br*wr-bi*wi bi*wr+br*wi]
-      const float64x2_t av = vld1q_f64(ad + 2 * i);
-      vst1q_f64(ad + 2 * i, vaddq_f64(av, v));
-      vst1q_f64(bd + 2 * i, vsubq_f64(av, v));
+  // One complex per vector, so every stage runs the same per-element body
+  // whatever its block size.
+  for (std::size_t half = 1; half < m; half <<= 1) {
+    const auto* wd = reinterpret_cast<const double*>(tw + (half - 1));
+    for (std::size_t start = 0; start < m; start += 2 * half) {
+      auto* ad = reinterpret_cast<double*>(data + start);
+      auto* bd = reinterpret_cast<double*>(data + start + half);
+      for (std::size_t i = 0; i < half; ++i) {
+        // [wr wi]
+        const float64x2_t wv = vreinterpretq_f64_u64(veorq_u64(
+            vreinterpretq_u64_f64(vld1q_f64(wd + 2 * i)), conj_mask));
+        const float64x2_t bv = vld1q_f64(bd + 2 * i);  // [br bi]
+        const float64x2_t bs = vextq_f64(bv, bv, 1);   // [bi br]
+        const float64x2_t m1 =
+            vmulq_f64(bv, vdupq_laneq_f64(wv, 0));  // [br*wr bi*wr]
+        float64x2_t m2 =
+            vmulq_f64(bs, vdupq_laneq_f64(wv, 1));  // [bi*wi br*wi]
+        m2 = vreinterpretq_f64_u64(
+            veorq_u64(vreinterpretq_u64_f64(m2), neg_even));
+        const float64x2_t v = vaddq_f64(m1, m2);  // [br*wr-bi*wi bi*wr+br*wi]
+        const float64x2_t av = vld1q_f64(ad + 2 * i);
+        vst1q_f64(ad + 2 * i, vaddq_f64(av, v));
+        vst1q_f64(bd + 2 * i, vsubq_f64(av, v));
+      }
     }
   }
 }
@@ -151,45 +153,68 @@ void neon_sdft_update_f(float* acc, const float* row, float d,
   }
 }
 
-void neon_butterfly_f(cplxf* data, const cplxf* w, std::size_t m,
-                      std::size_t half, bool conj_w) {
-  const auto* wf = reinterpret_cast<const float*>(w);
+// Two butterflies on [a0 a1] / [b0 b1] with twiddles [w0 w1]: the same
+// legacy tree as the double kernel, two complex per vector.
+inline void neon_bfly_f(float32x4_t& av, float32x4_t& bv, float32x4_t wv) {
+  const uint32x4_t neg_even = {0x80000000u, 0u, 0x80000000u, 0u};
+  const float32x4_t wr = vtrn1q_f32(wv, wv);  // [wr0 wr0 wr1 wr1]
+  const float32x4_t wi = vtrn2q_f32(wv, wv);  // [wi0 wi0 wi1 wi1]
+  const float32x4_t bs = vrev64q_f32(bv);     // [bi0 br0 bi1 br1]
+  const float32x4_t m1 = vmulq_f32(bv, wr);
+  float32x4_t m2 = vmulq_f32(bs, wi);
+  m2 = vreinterpretq_f32_u32(veorq_u32(vreinterpretq_u32_f32(m2), neg_even));
+  const float32x4_t v = vaddq_f32(m1, m2);
+  const float32x4_t u = av;
+  av = vaddq_f32(u, v);
+  bv = vsubq_f32(u, v);
+}
+
+void neon_fft_stages_f(cplxf* data, const cplxf* tw, std::size_t m,
+                       bool conj_w) {
   const uint32x4_t conj_mask = conj_w
                                    ? uint32x4_t{0u, 0x80000000u, 0u,
                                                 0x80000000u}
                                    : vdupq_n_u32(0u);
-  const uint32x4_t neg_even = {0x80000000u, 0u, 0x80000000u, 0u};
-  const float s = conj_w ? -1.0f : 1.0f;
-  const std::size_t n2 = half & ~std::size_t{1};
-  for (std::size_t start = 0; start < m; start += 2 * half) {
-    cplxf* a = data + start;
-    cplxf* b = a + half;
-    auto* af = reinterpret_cast<float*>(a);
-    auto* bf = reinterpret_cast<float*>(b);
-    for (std::size_t i = 0; i < n2; i += 2) {
-      const float32x4_t wv = vreinterpretq_f32_u32(veorq_u32(
-          vreinterpretq_u32_f32(vld1q_f32(wf + 2 * i)), conj_mask));
-      const float32x4_t bv = vld1q_f32(bf + 2 * i);
-      const float32x4_t wr = vtrn1q_f32(wv, wv);
-      const float32x4_t wi = vtrn2q_f32(wv, wv);
-      const float32x4_t bs = vrev64q_f32(bv);
-      const float32x4_t m1 = vmulq_f32(bv, wr);
-      float32x4_t m2 = vmulq_f32(bs, wi);
-      m2 = vreinterpretq_f32_u32(
-          veorq_u32(vreinterpretq_u32_f32(m2), neg_even));
-      const float32x4_t v = vaddq_f32(m1, m2);
-      const float32x4_t av = vld1q_f32(af + 2 * i);
-      vst1q_f32(af + 2 * i, vaddq_f32(av, v));
-      vst1q_f32(bf + 2 * i, vsubq_f32(av, v));
-    }
-    if (n2 < half) {
-      const float wr = w[n2].real(), wi = s * w[n2].imag();
-      const float br = b[n2].real(), bi = b[n2].imag();
-      const float vr = br * wr - bi * wi;
-      const float vi = br * wi + bi * wr;
-      const float ur = a[n2].real(), ui = a[n2].imag();
-      a[n2] = {ur + vr, ui + vi};
-      b[n2] = {ur - vr, ui - vi};
+  if (m < 4) {  // one pair or none: the reference loop
+    fft_stages(*kernels_for(Isa::kScalar), data, tw, m, conj_w);
+    return;
+  }
+  auto* f = reinterpret_cast<float*>(data);
+  // Stage 1: every block is one adjacent (a, b) pair sharing tw[0]. A
+  // complex float is one 64-bit lane, so zipping the 64-bit lanes of
+  // [a0 b0] [a1 b1] gives [a0 a1] / [b0 b1], and the same zips put the
+  // results back.
+  const float32x4_t w1 = vreinterpretq_f32_u32(veorq_u32(
+      vreinterpretq_u32_f32(vreinterpretq_f32_f64(
+          vld1q_dup_f64(reinterpret_cast<const double*>(tw)))),
+      conj_mask));
+  for (std::size_t k = 0; k < m; k += 4) {
+    const float64x2_t p0 = vreinterpretq_f64_f32(vld1q_f32(f + 2 * k));
+    const float64x2_t p1 = vreinterpretq_f64_f32(vld1q_f32(f + 2 * k + 4));
+    float32x4_t av = vreinterpretq_f32_f64(vzip1q_f64(p0, p1));
+    float32x4_t bv = vreinterpretq_f32_f64(vzip2q_f64(p0, p1));
+    neon_bfly_f(av, bv, w1);
+    const float64x2_t sd = vreinterpretq_f64_f32(av);
+    const float64x2_t dd = vreinterpretq_f64_f32(bv);
+    vst1q_f32(f + 2 * k, vreinterpretq_f32_f64(vzip1q_f64(sd, dd)));
+    vst1q_f32(f + 2 * k + 4, vreinterpretq_f32_f64(vzip2q_f64(sd, dd)));
+  }
+  // Stages 2 ... m/2: two complex per vector, so every block is a whole
+  // number of vectors.
+  for (std::size_t half = 2; half < m; half <<= 1) {
+    const auto* wf = reinterpret_cast<const float*>(tw + (half - 1));
+    for (std::size_t start = 0; start < m; start += 2 * half) {
+      float* af = f + 2 * start;
+      float* bf = af + 2 * half;
+      for (std::size_t i = 0; i < half; i += 2) {
+        const float32x4_t wv = vreinterpretq_f32_u32(veorq_u32(
+            vreinterpretq_u32_f32(vld1q_f32(wf + 2 * i)), conj_mask));
+        float32x4_t av = vld1q_f32(af + 2 * i);
+        float32x4_t bv = vld1q_f32(bf + 2 * i);
+        neon_bfly_f(av, bv, wv);
+        vst1q_f32(af + 2 * i, av);
+        vst1q_f32(bf + 2 * i, bv);
+      }
     }
   }
 }
@@ -198,11 +223,11 @@ constexpr Kernels kNeonKernels{"neon",
                                neon_cmul_inplace,
                                neon_dot,
                                neon_sdft_update,
-                               neon_butterfly,
+                               neon_fft_stages,
                                neon_cmul_inplace_f,
                                neon_dot_f,
                                neon_sdft_update_f,
-                               neon_butterfly_f};
+                               neon_fft_stages_f};
 
 }  // namespace
 

@@ -122,11 +122,7 @@ FeedbackCodec::FeedbackCodec(const OfdmParams& params)
       ofdm_(params),
       bandpass_(dsp::design_bandpass(params.band_low_hz, params.band_high_hz,
                                      params.sample_rate_hz, 129)),
-      bandpass_f_(dsp::convert_samples<float>(bandpass_.kernel())),
-      sdft_(&dsp::sdft_table_of<double>(
-          {params.symbol_samples(), params.first_bin(), params.num_bins()})),
-      sdft_f_(&dsp::sdft_table_of<float>(
-          {params.symbol_samples(), params.first_bin(), params.num_bins()})) {}
+      bandpass_f_(dsp::convert_samples<float>(bandpass_.kernel())) {}
 
 template <>
 const dsp::BasicFftFilter<double>& FeedbackCodec::bandpass_for<double>() const {
@@ -138,10 +134,20 @@ const dsp::BasicFftFilter<float>& FeedbackCodec::bandpass_for<float>() const {
 }
 template <>
 const dsp::SlidingDftTable<double>& FeedbackCodec::sdft_for<double>() const {
+  std::call_once(sdft_once_, [this] {
+    sdft_ = &dsp::sdft_table_of<double>({params_.symbol_samples(),
+                                         params_.first_bin(),
+                                         params_.num_bins()});
+  });
   return *sdft_;
 }
 template <>
 const dsp::SlidingDftTable<float>& FeedbackCodec::sdft_for<float>() const {
+  std::call_once(sdft_f_once_, [this] {
+    sdft_f_ = &dsp::sdft_table_of<float>({params_.symbol_samples(),
+                                          params_.first_bin(),
+                                          params_.num_bins()});
+  });
   return *sdft_f_;
 }
 

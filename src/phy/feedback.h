@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
@@ -116,10 +117,13 @@ class FeedbackCodec {
   /// the float decode overloads.
   dsp::BasicFftFilter<float> bandpass_f_;
   /// Phasor rows of the active bins at this numerology, one table per
-  /// precision, shared process-wide (dsp::sdft_table_of) and looked up
-  /// here so no decode builds one.
-  const dsp::SlidingDftTable<double>* sdft_;
-  const dsp::SlidingDftTable<float>* sdft_f_;
+  /// precision, shared process-wide (dsp::sdft_table_of). Each is looked
+  /// up on its precision's first decode, so a process that decodes only
+  /// in float (the streaming Modem) never builds the double table.
+  mutable std::once_flag sdft_once_;
+  mutable std::once_flag sdft_f_once_;
+  mutable const dsp::SlidingDftTable<double>* sdft_ = nullptr;
+  mutable const dsp::SlidingDftTable<float>* sdft_f_ = nullptr;
 };
 
 }  // namespace aqua::phy

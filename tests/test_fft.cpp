@@ -2,22 +2,35 @@
 // Bluestein path used by the 960-point OFDM symbol.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <random>
+#include <string>
 
 #include "dsp/fft.h"
 #include "dsp/simd.h"
+#include "fft_oracle.h"
 
 namespace aqua::dsp {
 
-// White-box access to the private radix-2 kernel, so the plan-size guard
+// White-box access to the private radix-2 stages, so the plan-size guard
 // (which no public path can violate) still gets a throw test, and to the
 // Bluestein tables, so the chirp loops can be checked against their
 // std::complex form.
 struct FftPlanTestPeer {
   static void radix2(const FftPlan& plan, std::vector<cplx>& data) {
-    plan.radix2(data, /*invert=*/false);
+    plan.stages(data, /*invert=*/false);
+  }
+
+  // The radix-2 core in place: bit-reversed copy, then every stage.
+  template <typename T>
+  static void radix2(const BasicFftPlan<T>& plan,
+                     std::vector<std::complex<T>>& data, bool invert) {
+    const std::vector<std::complex<T>> in = data;
+    plan.gather(in, data);
+    plan.stages(data, invert);
   }
 
   // The Bluestein transform with the chirp loops written as std::complex
@@ -32,10 +45,10 @@ struct FftPlanTestPeer {
       const C x = invert ? std::conj(in[k]) : in[k];
       a[k] = x * plan.chirp_[k];
     }
-    plan.radix2(a, /*invert=*/false);
+    radix2(plan, a, /*invert=*/false);
     simd::cmul_inplace(simd::active(), a.data(), plan.chirp_fft_.data(),
                        plan.m_);
-    plan.radix2(a, /*invert=*/true);
+    radix2(plan, a, /*invert=*/true);
     const T scale = T(1.0) / static_cast<T>(plan.m_);
     std::vector<C> out(plan.n_);
     for (std::size_t k = 0; k < plan.n_; ++k) {
@@ -229,6 +242,171 @@ void check_bluestein_chirp_loops() {
 TEST(Fft, BluesteinChirpLoopsMatchComplexProductBitForBit) {
   check_bluestein_chirp_loops<double>();
   check_bluestein_chirp_loops<float>();
+}
+
+// --- Production plans against the copy + swap + per-stage oracle. -------
+
+// Every power of two from 1 to 2^15, the numerology's 480, 960 and 4,800,
+// and a few odd sizes (Bluestein and the odd real fallback).
+std::vector<std::size_t> oracle_sizes() {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 32768; n *= 2) sizes.push_back(n);
+  for (const std::size_t n : {3, 5, 15, 17, 480, 960, 1027, 4800}) {
+    sizes.push_back(n);
+  }
+  return sizes;
+}
+
+enum class Fill { kRandom, kNonFinite, kHuge, kDenormal, kZero };
+
+const char* fill_name(Fill f) {
+  switch (f) {
+    case Fill::kRandom: return "random";
+    case Fill::kNonFinite: return "nan/inf";
+    case Fill::kHuge: return "huge";
+    case Fill::kDenormal: return "denormal";
+    case Fill::kZero: return "zero";
+  }
+  return "?";
+}
+
+// `count` values of T: Gaussian noise; noise with NaN, +Inf and -Inf
+// sprinkled in; noise with values near the overflow threshold (so some
+// outputs overflow and some do not); subnormal magnitudes with signed
+// zeros; or all +0.0.
+template <typename T>
+std::vector<T> oracle_samples(std::size_t count, Fill fill,
+                              std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::normal_distribution<double> g(0.0, 1.0);
+  std::vector<T> x(count, T(0));
+  if (fill == Fill::kZero) return x;
+  for (std::size_t i = 0; i < count; ++i) {
+    const double v = g(rng);
+    if (fill == Fill::kDenormal) {
+      x[i] = i % 11 == 3 ? T(-0.0)
+                         : static_cast<T>(std::ldexp(
+                               v, std::numeric_limits<T>::min_exponent - 4));
+    } else {
+      x[i] = static_cast<T>(v);
+    }
+  }
+  if (fill == Fill::kNonFinite && count > 0) {
+    x[(count * 1) / 5] = std::numeric_limits<T>::quiet_NaN();
+    x[(count * 2) / 5] = std::numeric_limits<T>::infinity();
+    x[(count * 4) / 5] = -std::numeric_limits<T>::infinity();
+  }
+  if (fill == Fill::kHuge) {
+    const T big = std::numeric_limits<T>::max() / T(3);
+    for (std::size_t i = 0; i < count; i += 7) x[i] = (i % 2 ? -big : big);
+  }
+  return x;
+}
+
+template <typename T>
+std::vector<std::complex<T>> oracle_cplx(std::size_t n, Fill fill,
+                                         std::uint64_t seed) {
+  const std::vector<T> parts = oracle_samples<T>(2 * n, fill, seed);
+  std::vector<std::complex<T>> x(n);
+  for (std::size_t i = 0; i < n; ++i) x[i] = {parts[2 * i], parts[2 * i + 1]};
+  return x;
+}
+
+// Bit-for-bit, except that any NaN matches any NaN: which NaN payload and
+// sign an IEEE operation propagates depends on operand order, which the
+// compiler may swap for commutative adds and multiplies.
+template <typename T>
+bool same_bits(T a, T b) {
+  if (std::isnan(a) && std::isnan(b)) return true;
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+template <typename T>
+::testing::AssertionResult same_bits(std::span<const T> got,
+                                     std::span<const T> want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure() << "size " << got.size() << " vs "
+                                         << want.size();
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (!same_bits(got[i], want[i])) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << got[i] << " vs " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+template <typename T>
+::testing::AssertionResult same_bits(const std::vector<std::complex<T>>& got,
+                                     const std::vector<std::complex<T>>& want) {
+  return same_bits<T>(
+      std::span<const T>(reinterpret_cast<const T*>(got.data()),
+                         2 * got.size()),
+      std::span<const T>(reinterpret_cast<const T*>(want.data()),
+                         2 * want.size()));
+}
+
+constexpr Fill kFills[] = {Fill::kRandom, Fill::kNonFinite, Fill::kHuge,
+                           Fill::kDenormal, Fill::kZero};
+
+template <typename T>
+void check_complex_plans_against_oracle() {
+  using C = std::complex<T>;
+  Workspace ws;
+  for (const std::size_t n : oracle_sizes()) {
+    const oracle::Fft<T> want(n);
+    const BasicFftPlan<T>& plan = plan_of<T>(n);
+    for (const Fill fill : kFills) {
+      const std::vector<C> in = oracle_cplx<T>(n, fill, 300 + n);
+      const std::string where = "n " + std::to_string(n) + " " +
+                                fill_name(fill) + " " + simd::active().name;
+      std::vector<C> got(n);
+      plan.forward(in, got, ws);
+      ASSERT_TRUE(same_bits(got, want.forward(in))) << "forward " << where;
+      plan.inverse(in, got, ws);
+      ASSERT_TRUE(same_bits(got, want.inverse(in))) << "inverse " << where;
+      // In place: the aliased call permutes without a second buffer.
+      got = in;
+      plan.forward(got, got, ws);
+      ASSERT_TRUE(same_bits(got, want.forward(in))) << "in place " << where;
+    }
+  }
+}
+
+template <typename T>
+void check_real_plans_against_oracle() {
+  using C = std::complex<T>;
+  Workspace ws;
+  for (const std::size_t n : oracle_sizes()) {
+    const oracle::Rfft<T> want(n);
+    const BasicRfftPlan<T>& plan = rplan_of<T>(n);
+    for (const Fill fill : kFills) {
+      const std::string where = "n " + std::to_string(n) + " " +
+                                fill_name(fill) + " " + simd::active().name;
+      const std::vector<T> x = oracle_samples<T>(n, fill, 500 + n);
+      std::vector<C> spec(plan.spectrum_size());
+      plan.forward(x, spec, ws);
+      ASSERT_TRUE(same_bits(spec, want.forward(x))) << "forward " << where;
+      // Any packed spectrum, including non-real DC/Nyquist bins.
+      const std::vector<C> bins =
+          oracle_cplx<T>(plan.spectrum_size(), fill, 700 + n);
+      std::vector<T> back(n);
+      plan.inverse(bins, back, ws);
+      const std::vector<T> want_back = want.inverse(bins);
+      ASSERT_TRUE(same_bits<T>(back, want_back)) << "inverse " << where;
+    }
+  }
+}
+
+TEST(FftOracle, ComplexPlansMatchCopySwapStagesBitForBit) {
+  check_complex_plans_against_oracle<double>();
+  check_complex_plans_against_oracle<float>();
+}
+
+TEST(FftOracle, RealPlansMatchCopySwapStagesBitForBit) {
+  check_real_plans_against_oracle<double>();
+  check_real_plans_against_oracle<float>();
 }
 
 TEST(Fft, NextPow2) {

@@ -4,12 +4,14 @@
 
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <random>
 #include <string>
 
 #include "channel/channel.h"
 #include "dsp/fir.h"
+#include "dsp/linalg.h"
 #include "dsp/workspace.h"
 #include "phy/bandselect.h"
 #include "phy/chanest.h"
@@ -17,6 +19,7 @@
 #include "phy/feedback.h"
 #include "phy/ofdm.h"
 #include "phy/preamble.h"
+#include "equalizer_oracle.h"
 #include "feedback_oracle.h"
 
 namespace aqua::phy {
@@ -519,6 +522,51 @@ TEST(Equalizer, RejectsDegenerateTraining) {
   std::vector<double> tiny(10, 1.0);
   EXPECT_THROW(MmseEqualizer::train(tiny, tiny, 480, 240),
                std::invalid_argument);
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// Training and apply against the per-output reference loops: 60 random
+// cases over tap counts off and on the 4-output/4-lag block (1, 2, 3, 5,
+// 7, 8, 9, 31 and the paper's 480), delays from 0 to past the signal end,
+// and inputs with signed zeros, so every edge, interior block and tail
+// runs. The production solve must also match the reference Levinson.
+TEST(EqualizerOracle, TrainAndApplyMatchReferenceBitForBit) {
+  std::mt19937_64 rng(61);
+  std::normal_distribution<double> g(0.0, 1.0);
+  const std::size_t tap_counts[] = {1, 2, 3, 5, 7, 8, 9, 31, 480};
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t taps = tap_counts[trial % 9];
+    const std::size_t len = taps + 1 + static_cast<std::size_t>(rng() % 1500);
+    const std::size_t delays[] = {0, taps / 2, taps - 1, taps + 3, len + 5};
+    const std::size_t delay = delays[trial % 5];
+    std::vector<double> tx(len), rx(len);
+    for (double& v : tx) v = g(rng);
+    for (std::size_t i = 0; i < len; ++i) {
+      rx[i] = (i % 13 == 4) ? -0.0 : tx[i] + 0.3 * g(rng);
+    }
+    const std::string where = "trial " + std::to_string(trial) + " taps " +
+                              std::to_string(taps) + " delay " +
+                              std::to_string(delay) + " len " +
+                              std::to_string(len);
+    const oracle::Normal ne =
+        oracle::normal_equations(rx, tx, taps, delay, 1e-3);
+    const std::vector<double> want_taps = oracle::levinson_solve(ne.r, ne.c);
+    ASSERT_TRUE(same_bits(dsp::levinson_solve(ne.r, ne.c), want_taps))
+        << where;
+    const MmseEqualizer eq = MmseEqualizer::train(rx, tx, taps, delay, 1e-3);
+    ASSERT_TRUE(same_bits(eq.taps(), want_taps)) << where;
+    // Apply over captures shorter and longer than the taps.
+    std::vector<double> x(1 + static_cast<std::size_t>(rng() % 2000));
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x[i] = (i % 17 == 2) ? -0.0 : g(rng);
+    }
+    ASSERT_TRUE(same_bits(eq.apply(x), oracle::equalizer_apply(want_taps, delay, x)))
+        << where << " apply over " << x.size();
+  }
 }
 
 }  // namespace

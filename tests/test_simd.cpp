@@ -11,6 +11,8 @@
 #include <complex>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -189,11 +191,11 @@ TEST(Simd, ActiveTableIsRunnable) {
   EXPECT_NE(k.dot, nullptr);
   EXPECT_NE(k.cmul_inplace, nullptr);
   EXPECT_NE(k.sdft_update, nullptr);
-  EXPECT_NE(k.butterfly, nullptr);
+  EXPECT_NE(k.fft_stages, nullptr);
   EXPECT_NE(k.dot_f, nullptr);
   EXPECT_NE(k.cmul_inplace_f, nullptr);
   EXPECT_NE(k.sdft_update_f, nullptr);
-  EXPECT_NE(k.butterfly_f, nullptr);
+  EXPECT_NE(k.fft_stages_f, nullptr);
   // The scalar table must always be reachable.
   ASSERT_NE(simd::kernels_for(simd::Isa::kScalar), nullptr);
 }
@@ -303,78 +305,95 @@ TEST(Simd, SdftUpdateBitIdenticalAcrossTargetsAndCorrect) {
       1e-12);
 }
 
-// The stage kernel's contract, evaluated block by block straight from the
-// documented tree: v = b*w (historical std::complex product, unfused),
-// a' = a + v, b' = a - v.
+// The whole-transform kernel's contract, evaluated stage by stage and
+// block by block straight from the documented tree: v = b*w (historical
+// std::complex product, unfused), a' = a + v, b' = a - v, with stage
+// `half` reading tw[half - 1 + i].
 template <typename T>
-std::vector<std::complex<T>> reference_stage(
-    std::vector<std::complex<T>> x, const std::vector<std::complex<T>>& w,
-    std::size_t half, bool conj_w) {
-  for (std::size_t start = 0; start < x.size(); start += 2 * half) {
-    for (std::size_t i = 0; i < half; ++i) {
-      const std::complex<T> wi = conj_w ? std::conj(w[i]) : w[i];
-      const std::complex<T> a = x[start + i];
-      const std::complex<T> b = x[start + half + i];
-      const std::complex<T> v(b.real() * wi.real() - b.imag() * wi.imag(),
-                              b.real() * wi.imag() + b.imag() * wi.real());
-      x[start + i] = a + v;
-      x[start + half + i] = a - v;
+std::vector<std::complex<T>> reference_stages(
+    std::vector<std::complex<T>> x, const std::vector<std::complex<T>>& tw,
+    bool conj_w) {
+  for (std::size_t half = 1; half < x.size(); half *= 2) {
+    for (std::size_t start = 0; start < x.size(); start += 2 * half) {
+      for (std::size_t i = 0; i < half; ++i) {
+        const std::complex<T> w = tw[half - 1 + i];
+        const std::complex<T> wi = conj_w ? std::conj(w) : w;
+        const std::complex<T> a = x[start + i];
+        const std::complex<T> b = x[start + half + i];
+        const std::complex<T> v(b.real() * wi.real() - b.imag() * wi.imag(),
+                                b.real() * wi.imag() + b.imag() * wi.real());
+        x[start + i] = a + v;
+        x[start + half + i] = a - v;
+      }
     }
   }
   return x;
 }
 
-// Every stage (half = 1 ... m/2) of every power-of-two size m = 2 ... 4096:
-// the small-half stages take the packed-pair paths of the vector targets,
-// the large ones the dense per-block loops. The contract allows any half
-// with m a multiple of 2*half, so odd halves (1, 3, 5, ..., 61) over 1, 3
-// and 7 blocks also run, reaching every tail: the leftover pairs of the
-// packed half == 1 paths and the scalar remainder of each vector block.
-// Results must be EXACT — the double FFT's outputs are pinned to the
-// scalar era through this tree.
+// Data for the whole-transform check: the random signal as is, with NaN,
+// +Inf and -Inf planted, scaled into the subnormal range, or all zeros.
+template <typename C>
+std::vector<C> hostile_fill(std::vector<C> x, int fill) {
+  using T = typename C::value_type;
+  if (fill == 1 && x.size() > 2) {
+    x[x.size() / 3] = {std::numeric_limits<T>::quiet_NaN(), T(1)};
+    x[x.size() / 2] = {std::numeric_limits<T>::infinity(), T(0)};
+    x[x.size() - 1] = {T(0), -std::numeric_limits<T>::infinity()};
+  } else if (fill == 2) {
+    const T tiny = std::numeric_limits<T>::denorm_min() * T(64);
+    for (C& v : x) v *= tiny;
+  } else if (fill == 3) {
+    for (C& v : x) v = C{};
+  }
+  return x;
+}
+
+// Equal bits, or NaN in both: which NaN an operation propagates depends on
+// operand order, which the compiler may swap in commutative operations.
+template <typename T>
+bool same_value(T a, T b) {
+  return (std::isnan(a) && std::isnan(b)) ||
+         std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+// Every power-of-two size m = 1 ... 32768: m < 8 takes the vector
+// targets' small-transform tails, m = 8 ... 2048 runs one cache block
+// with an odd or even number of fused stage pairs, and the larger sizes
+// add the full-array stages above the block (double blocks are half as
+// many points as float blocks, so both split points are crossed). The
+// twiddles are random, not the plan's, so no stage can pass by reading
+// another stage's factors. The data is random, NaN/Inf-bearing,
+// subnormal or zero. Results must be EXACT — the double FFT's outputs are
+// pinned to the scalar era through this tree.
 template <typename T, typename Gen, typename Run>
-void check_butterfly_stage(Gen gen, Run run, std::size_t m, std::size_t half,
-                           std::uint64_t seed) {
-  const auto x0 = gen(m, seed + m + half);
-  const auto w = gen(half, seed + 7 * m + half);
-  for (const bool conj_w : {false, true}) {
-    const auto want = reference_stage<T>(x0, w, half, conj_w);
-    for (const simd::Kernels* k : runnable_targets()) {
-      auto got = x0;
-      run(*k, got.data(), w.data(), m, half, conj_w);
-      for (std::size_t i = 0; i < m; ++i) {
-        ASSERT_EQ(got[i].real(), want[i].real())
-            << k->name << " m " << m << " half " << half << " conj "
-            << conj_w << " elem " << i;
-        ASSERT_EQ(got[i].imag(), want[i].imag())
-            << k->name << " m " << m << " half " << half << " conj "
-            << conj_w << " elem " << i;
+void check_fft_stages(Gen gen, Run run, std::uint64_t seed) {
+  for (std::size_t m = 1; m <= 32768; m *= 2) {
+    const auto tw = gen(m > 1 ? m - 1 : 1, seed + 7 * m);
+    for (int fill = 0; fill < 4; ++fill) {
+      const auto x0 = hostile_fill(gen(m, seed + m), fill);
+      for (const bool conj_w : {false, true}) {
+        const auto want = reference_stages<T>(x0, tw, conj_w);
+        for (const simd::Kernels* k : runnable_targets()) {
+          auto got = x0;
+          run(*k, got.data(), tw.data(), m, conj_w);
+          for (std::size_t i = 0; i < m; ++i) {
+            ASSERT_TRUE(same_value(got[i].real(), want[i].real()) &&
+                        same_value(got[i].imag(), want[i].imag()))
+                << k->name << " m " << m << " fill " << fill << " conj "
+                << conj_w << " elem " << i << ": " << got[i] << " vs "
+                << want[i];
+          }
+        }
       }
     }
   }
 }
 
-template <typename T, typename Gen, typename Run>
-void check_butterfly_stages(Gen gen, Run run, std::uint64_t seed) {
-  for (std::size_t m = 2; m <= 4096; m *= 2) {
-    for (std::size_t half = 1; half < m; half *= 2) {
-      check_butterfly_stage<T>(gen, run, m, half, seed);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  }
-  for (const std::size_t half : {1, 2, 3, 5, 6, 7, 9, 17, 61}) {
-    for (const std::size_t blocks : {1, 3, 7}) {
-      check_butterfly_stage<T>(gen, run, 2 * half * blocks, half, seed);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  }
-}
-
 TEST(Simd, ButterflyBitIdenticalAcrossTargetsAndCorrect) {
-  check_butterfly_stages<double>(
+  check_fft_stages<double>(
       random_cplx,
-      [](const simd::Kernels& k, cplx* x, const cplx* w, std::size_t m,
-         std::size_t half, bool conj_w) { k.butterfly(x, w, m, half, conj_w); },
+      [](const simd::Kernels& k, cplx* x, const cplx* tw, std::size_t m,
+         bool conj_w) { k.fft_stages(x, tw, m, conj_w); },
       1100);
 }
 
@@ -435,12 +454,10 @@ TEST(Simd, SdftUpdateFloatBitIdenticalAcrossTargetsAndCorrect) {
 }
 
 TEST(Simd, ButterflyFloatBitIdenticalAcrossTargetsAndCorrect) {
-  check_butterfly_stages<float>(
+  check_fft_stages<float>(
       random_cplxf,
-      [](const simd::Kernels& k, cplxf* x, const cplxf* w, std::size_t m,
-         std::size_t half, bool conj_w) {
-        k.butterfly_f(x, w, m, half, conj_w);
-      },
+      [](const simd::Kernels& k, cplxf* x, const cplxf* tw, std::size_t m,
+         bool conj_w) { k.fft_stages_f(x, tw, m, conj_w); },
       2100);
 }
 
