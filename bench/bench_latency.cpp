@@ -1,15 +1,21 @@
 // Section 3 / 5 reproduction via google-benchmark: component runtimes
 // (channel estimation, band selection, feedback decode, per-symbol
 // equalization + Viterbi — the paper reports 1-2 ms each on a Galaxy S9
-// and <20 ms per symbol for decoding) and end-to-end messaging airtime.
+// and <20 ms per symbol for decoding), the receive kernels under them
+// (real FFT, preamble confirmation, moving DFT) and end-to-end messaging
+// airtime.
 #include <benchmark/benchmark.h>
 
 #include <complex>
 #include <random>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "dsp/fft.h"
 #include "dsp/fir.h"
+#include "dsp/simd.h"
+#include "dsp/sliding_dft.h"
 #include "phy/bandselect.h"
 #include "phy/chanest.h"
 #include "phy/datamodem.h"
@@ -122,6 +128,73 @@ void BM_PreambleDetect(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PreambleDetect);
+
+// The preamble confirmation of one above-threshold scanner window, in
+// float: the step-8 pass over two symbols (240 starts) and the 17-start
+// fine pass. Arg 0 runs it as one dispatched `dot` per segment and energy
+// (eight per start, the form the batch kernel replaced), arg 1 as two
+// segment_dots batch calls.
+void BM_PreambleConfirm(benchmark::State& state) {
+  const phy::OfdmParams p;
+  const std::size_t n = p.symbol_samples();
+  const std::size_t seg = dsp::simd::kSegments;
+  std::mt19937_64 rng(11);
+  std::normal_distribution<float> g(0.0f, 1.0f);
+  std::vector<float> x(2 * n + seg * n + 16);
+  for (auto& v : x) v = g(rng);
+  const dsp::simd::Kernels& kern = dsp::simd::active();
+  std::vector<float> dots((240 + 17) * seg);
+  const bool batch = state.range(0) == 1;
+  const auto per_dot = [&](const float* w, std::size_t stride,
+                           std::size_t count, float* out) {
+    for (std::size_t c = 0; c < count; ++c, out += seg) {
+      const float* s = w + c * stride;
+      for (std::size_t k = 0; k + 1 < seg; ++k) {
+        out[k] = dsp::simd::dot(kern, s + k * n, s + (k + 1) * n, n);
+      }
+      out[seg - 1] = dsp::simd::dot(kern, s, s, seg * n);
+    }
+  };
+  for (auto _ : state) {
+    if (batch) {
+      dsp::simd::segment_dots(kern, x.data(), n, 8, 240, dots.data());
+      dsp::simd::segment_dots(kern, x.data() + n - 8, n, 1, 17,
+                              dots.data() + 240 * seg);
+    } else {
+      per_dot(x.data(), 8, 240, dots.data());
+      per_dot(x.data() + n - 8, 1, 17, dots.data() + 240 * seg);
+    }
+    benchmark::DoNotOptimize(dots.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(std::string(kern.name) + (batch ? " batch" : " per-dot"));
+}
+BENCHMARK(BM_PreambleConfirm)->Arg(0)->Arg(1);
+
+// The moving-DFT power pass of one float tone/feedback decode: 52,800
+// samples (1.1 s at 48 kHz), the paper's 60 bins of a 960-point window,
+// rows on the decoders' step-8 grid at both repeat offsets.
+void BM_MovingDftPower(benchmark::State& state) {
+  const phy::OfdmParams p;
+  const std::size_t n = p.symbol_samples();
+  const dsp::SlidingDftTable<float>& table = dsp::sdft_table_of<float>(
+      {n, p.first_bin(), p.num_bins()});
+  std::mt19937_64 rng(12);
+  std::normal_distribution<float> g(0.0f, 1.0f);
+  std::vector<float> x(52800);
+  for (auto& v : x) v = g(rng);
+  const std::size_t offsets[2] = {0, p.symbol_total_samples()};
+  const dsp::DftRowGrid grid{8, offsets};
+  std::vector<float> out(grid.rows(x.size() - n + 1) * 2 * p.num_bins());
+  dsp::Workspace ws;
+  for (auto _ : state) {
+    dsp::moving_dft_power(std::span<const float>(x), table, grid, out, ws);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(dsp::simd::active().name);
+}
+BENCHMARK(BM_MovingDftPower);
 
 void BM_EqualizerTrain(benchmark::State& state) {
   std::mt19937_64 rng(3);

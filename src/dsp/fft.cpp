@@ -145,8 +145,9 @@ void BasicFftPlan<T>::transform(std::span<const C> in, std::span<C> out,
   }
   // Bluestein: X[k] = conj-chirp convolution. For the inverse transform we
   // conjugate input and output of the forward machinery. The chirp loops
-  // are spelled in real arithmetic for the reason given in the untwiddle
-  // of BasicRfftPlan::forward; chirp_product keeps the std::complex
+  // are spelled in real arithmetic: GCC 12's SLP vectorizer assembles
+  // std::complex temporaries through a stack round trip that stalls store
+  // forwarding on every element; chirp_product keeps the std::complex
   // product's exact results. The chirped input is written straight into
   // bit-reversed order (slot i holds sample bitrev_[i]; samples >= n_ are
   // the zero padding), and the product spectrum is gathered into a second
@@ -258,24 +259,11 @@ void BasicRfftPlan<T>::forward(std::span<const T> in, std::span<C> out,
   }
   // Untwiddle: split Z into the spectra of the even/odd sample streams
   // (E = (Z_k + conj(Z_{h-k}))/2, O = -j (Z_k - conj(Z_{h-k}))/2) and
-  // recombine as X_k = E + W^k O with W = e^{-j 2 pi / n}.
-  //
-  // Spelled in real arithmetic, the exact operations of the std::complex
-  // expressions (the product is (ac - bd, ad + bc)): GCC 12's SLP
-  // vectorizer assembles std::complex temporaries here through a stack
-  // round trip that stalls store forwarding on every bin, which made this
-  // O(n) pass cost more than the half-size transform itself.
-  out[0] = {zf[0].real() + zf[0].imag(), T(0.0)};
-  out[h_] = {zf[0].real() - zf[0].imag(), T(0.0)};
-  const T half_scale = T(0.5);
-  for (std::size_t k = 1; k < h_; ++k) {
-    const T zr = zf[k].real(), zi = zf[k].imag();
-    const T cr = zf[h_ - k].real(), ci = -zf[h_ - k].imag();  // conj
-    const T er = half_scale * (zr + cr), ei = half_scale * (zi + ci);
-    const T orr = half_scale * (zi - ci), oi = -half_scale * (zr - cr);
-    const T wr = twiddle_[k].real(), wi = twiddle_[k].imag();
-    out[k] = {er + (wr * orr - wi * oi), ei + (wr * oi + wi * orr)};
-  }
+  // recombine as X_k = E + W^k O with W = e^{-j 2 pi / n}, through the
+  // dispatched kernel (the exact operations of the std::complex
+  // expressions, spelled in real arithmetic).
+  simd::rfft_untwiddle(simd::active(), zf.data(), twiddle_.data(), out.data(),
+                       h_);
 }
 
 template <typename T>
@@ -309,20 +297,11 @@ void BasicRfftPlan<T>::inverse(std::span<const C> in, std::span<T> out,
   // one half-size inverse transform un-interleaves the samples.
   Scratch<C> zf_s(ws, h_);
   std::span<C> zf = zf_s.span();
-  // Real arithmetic for the same reason as in forward().
-  const T half_scale = T(0.5);
-  const auto untwiddle = [&](std::size_t k) -> C {
-    const T xr = in[k].real(), xi = in[k].imag();
-    const T cr = in[h_ - k].real(), ci = -in[h_ - k].imag();  // conj
-    const T er = half_scale * (xr + cr), ei = half_scale * (xi + ci);
-    const T owr = half_scale * (xr - cr), owi = half_scale * (xi - ci);
-    const T wr = twiddle_[k].real(), wi = -twiddle_[k].imag();  // conj
-    const T orr = wr * owr - wi * owi, oi = wr * owi + wi * owr;
-    return {er - oi, ei + orr};  // E + j O
-  };
+  const simd::Kernels& kern = simd::active();
   if (!half_->pow2_) {
+    simd::irfft_untwiddle(kern, in.data(), twiddle_.data(), zf.data(), h_,
+                          nullptr);
     Scratch<C> z_s(ws, h_);
-    for (std::size_t k = 0; k < h_; ++k) zf[k] = untwiddle(k);
     std::span<C> z = z_s.span();
     half_->inverse(zf, z, ws);
     for (std::size_t k = 0; k < h_; ++k) {
@@ -331,12 +310,12 @@ void BasicRfftPlan<T>::inverse(std::span<const C> in, std::span<T> out,
     }
     return;
   }
-  // A power-of-two half takes bin bitrev[k] into slot k, so the untwiddle
-  // is the radix-2 core's input permutation, and the inverse's 1/h scale
-  // (one multiply per part, as in BasicFftPlan::inverse) rides on the
-  // de-interleave.
-  const std::uint32_t* br = half_->bitrev_.data();
-  for (std::size_t k = 0; k < h_; ++k) zf[k] = untwiddle(br[k]);
+  // A power-of-two half takes bin k into slot bitrev[k] (the permutation
+  // is its own inverse), so the untwiddle is the radix-2 core's input
+  // permutation, and the inverse's 1/h scale (one multiply per part, as in
+  // BasicFftPlan::inverse) rides on the de-interleave.
+  simd::irfft_untwiddle(kern, in.data(), twiddle_.data(), zf.data(), h_,
+                        half_->bitrev_.data());
   half_->stages(zf, /*invert=*/true);
   const T scale = T(1.0) / static_cast<T>(h_);
   for (std::size_t k = 0; k < h_; ++k) {

@@ -21,8 +21,9 @@ namespace {
 // Scalar reference kernels. These spell out the exact expression tree every
 // vector implementation must reproduce: std::fma where the vector units fuse,
 // fixed-lane accumulation (4 double / 8 float) with a fixed reduction order,
-// and an unfused mul/add tree in the butterfly (the historical std::complex
-// product, kept so double FFT outputs are bit-identical to the scalar era).
+// and an unfused mul/add tree in the butterfly and the untwiddles (the
+// historical std::complex product, kept so double FFT outputs are
+// bit-identical to the scalar era).
 // ---------------------------------------------------------------------------
 
 void scalar_cmul_inplace(cplx* y, const cplx* x, std::size_t n) {
@@ -71,14 +72,104 @@ float scalar_dot_f(const float* a, const float* b, std::size_t n) {
          ((lane[4] + lane[5]) + (lane[6] + lane[7]));
 }
 
-void scalar_sdft_update(double* acc, const double* row, double d,
-                        std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) acc[i] = std::fma(d, row[i], acc[i]);
+// The confirmation dots of every window start, one reference dot per value.
+template <typename T>
+void scalar_segment_dots_t(T (*dot)(const T*, const T*, std::size_t),
+                           const T* x, std::size_t n, std::size_t stride,
+                           std::size_t count, T* out) {
+  for (std::size_t p = 0; p < count; ++p) {
+    const T* w = x + p * stride;
+    T* o = out + p * kSegments;
+    for (std::size_t s = 0; s + 1 < kSegments; ++s) {
+      o[s] = dot(w + s * n, w + (s + 1) * n, n);
+    }
+    o[kSegments - 1] = dot(w, w, kSegments * n);
+  }
 }
 
-void scalar_sdft_update_f(float* acc, const float* row, float d,
-                          std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) acc[i] = std::fma(d, row[i], acc[i]);
+void scalar_segment_dots(const double* x, std::size_t n, std::size_t stride,
+                         std::size_t count, double* out) {
+  scalar_segment_dots_t(scalar_dot, x, n, stride, count, out);
+}
+
+void scalar_segment_dots_f(const float* x, std::size_t n, std::size_t stride,
+                           std::size_t count, float* out) {
+  scalar_segment_dots_t(scalar_dot_f, x, n, stride, count, out);
+}
+
+// Sample by sample: emits due before the update, then one fused axpy of
+// the whole blocked row.
+template <typename T>
+void scalar_sdft_run_t(T* acc, const T* rows, std::size_t bins, const T* x,
+                       std::size_t window, std::size_t len,
+                       const SdftEmit<T>* emits, std::size_t n_emits) {
+  constexpr std::size_t kB = kSdftBlock<T>;
+  const std::size_t width = (bins + kB - 1) / kB * 2 * kB;
+  std::size_t e = 0;
+  for (std::size_t t = 0;; ++t) {
+    for (; e < n_emits && emits[e].after == t; ++e) {
+      for (std::size_t k = 0; k < bins; ++k) {
+        const T* blk = acc + (k / kB) * 2 * kB;
+        const T re = blk[k % kB], im = blk[kB + k % kB];
+        emits[e].dst[k] = re * re + im * im;
+      }
+    }
+    if (t == len) break;
+    const T d = x[t + window] - x[t];
+    const T* row = rows + t * width;
+    for (std::size_t i = 0; i < width; ++i) {
+      acc[i] = std::fma(d, row[i], acc[i]);
+    }
+  }
+}
+
+void scalar_sdft_run(double* acc, const double* rows, std::size_t bins,
+                     const double* x, std::size_t window, std::size_t len,
+                     const SdftEmit<double>* emits, std::size_t n_emits) {
+  scalar_sdft_run_t(acc, rows, bins, x, window, len, emits, n_emits);
+}
+
+void scalar_sdft_run_f(float* acc, const float* rows, std::size_t bins,
+                       const float* x, std::size_t window, std::size_t len,
+                       const SdftEmit<float>* emits, std::size_t n_emits) {
+  scalar_sdft_run_t(acc, rows, bins, x, window, len, emits, n_emits);
+}
+
+template <typename T>
+void scalar_rfft_untwiddle_t(const std::complex<T>* z,
+                             const std::complex<T>* tw, std::complex<T>* out,
+                             std::size_t h) {
+  rfft_untwiddle_edges(z, out, h);
+  for (std::size_t k = 1; k < h; ++k) out[k] = rfft_untwiddle_one(z, tw, h, k);
+}
+
+template <typename T>
+void scalar_irfft_untwiddle_t(const std::complex<T>* in,
+                              const std::complex<T>* tw, std::complex<T>* zf,
+                              std::size_t h, const std::uint32_t* slot) {
+  for (std::size_t k = 0; k < h; ++k) {
+    zf[slot != nullptr ? slot[k] : k] = irfft_untwiddle_one(in, tw, h, k);
+  }
+}
+
+void scalar_rfft_untwiddle(const cplx* z, const cplx* tw, cplx* out,
+                           std::size_t h) {
+  scalar_rfft_untwiddle_t(z, tw, out, h);
+}
+
+void scalar_rfft_untwiddle_f(const cplxf* z, const cplxf* tw, cplxf* out,
+                             std::size_t h) {
+  scalar_rfft_untwiddle_t(z, tw, out, h);
+}
+
+void scalar_irfft_untwiddle(const cplx* in, const cplx* tw, cplx* zf,
+                            std::size_t h, const std::uint32_t* slot) {
+  scalar_irfft_untwiddle_t(in, tw, zf, h, slot);
+}
+
+void scalar_irfft_untwiddle_f(const cplxf* in, const cplxf* tw, cplxf* zf,
+                              std::size_t h, const std::uint32_t* slot) {
+  scalar_irfft_untwiddle_t(in, tw, zf, h, slot);
 }
 
 // Every butterfly stage of one transform, stage by stage and block by
@@ -119,12 +210,18 @@ void scalar_fft_stages_f(cplxf* data, const cplxf* tw, std::size_t m,
 constexpr Kernels kScalarKernels{"scalar",
                                  scalar_cmul_inplace,
                                  scalar_dot,
-                                 scalar_sdft_update,
+                                 scalar_segment_dots,
+                                 scalar_sdft_run,
                                  scalar_fft_stages,
+                                 scalar_rfft_untwiddle,
+                                 scalar_irfft_untwiddle,
                                  scalar_cmul_inplace_f,
                                  scalar_dot_f,
-                                 scalar_sdft_update_f,
-                                 scalar_fft_stages_f};
+                                 scalar_segment_dots_f,
+                                 scalar_sdft_run_f,
+                                 scalar_fft_stages_f,
+                                 scalar_rfft_untwiddle_f,
+                                 scalar_irfft_untwiddle_f};
 
 // Widest supported target among those compiled in, in preference order.
 const Kernels* detect() {

@@ -9,6 +9,7 @@
 // fixed (l0 + l1) + (l2 + l3) order — so results are bit-identical to the
 // scalar kernels, which tests/test_simd.cpp asserts.
 #include "dsp/simd_internal.h"
+#include "dsp/simd_passes.h"
 
 #if defined(AQUA_SIMD_HAVE_AVX2)
 
@@ -55,19 +56,6 @@ double avx2_dot(const double* a, const double* b, std::size_t n) {
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
 }
 
-void avx2_sdft_update(double* acc, const double* row, double d,
-                      std::size_t n) {
-  const __m256d dv = _mm256_set1_pd(d);
-  const std::size_t n4 = n & ~std::size_t{3};
-  for (std::size_t i = 0; i < n4; i += 4) {
-    _mm256_storeu_pd(acc + i, _mm256_fmadd_pd(dv, _mm256_loadu_pd(row + i),
-                                              _mm256_loadu_pd(acc + i)));
-  }
-  for (std::size_t i = n4; i < n; ++i) {
-    acc[i] = __builtin_fma(d, row[i], acc[i]);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Single-precision twins: same trees, eight fp32 lanes per vector.
 // ---------------------------------------------------------------------------
@@ -108,17 +96,63 @@ float avx2_dot_f(const float* a, const float* b, std::size_t n) {
          ((lane[4] + lane[5]) + (lane[6] + lane[7]));
 }
 
-void avx2_sdft_update_f(float* acc, const float* row, float d,
-                        std::size_t n) {
-  const __m256 dv = _mm256_set1_ps(d);
-  const std::size_t n8 = n & ~std::size_t{7};
-  for (std::size_t i = 0; i < n8; i += 8) {
-    _mm256_storeu_ps(acc + i, _mm256_fmadd_ps(dv, _mm256_loadu_ps(row + i),
-                                              _mm256_loadu_ps(acc + i)));
+// ---------------------------------------------------------------------------
+// Real-lane kernels (confirmation dots, moving DFT): the passes of
+// simd_passes.h over one traits struct per precision.
+// ---------------------------------------------------------------------------
+
+struct R64 {  // four double lanes
+  using T = double;
+  using V = __m256d;
+  static constexpr std::size_t kLanes = 4;
+  static V zero() { return _mm256_setzero_pd(); }
+  static V load(const T* p) { return _mm256_loadu_pd(p); }
+  static void store(T* p, V v) { _mm256_storeu_pd(p, v); }
+  static V set1(T v) { return _mm256_set1_pd(v); }
+  static V fma(V a, V b, V c) { return _mm256_fmadd_pd(a, b, c); }
+  static V mul(V a, V b) { return _mm256_mul_pd(a, b); }
+  static V add(V a, V b) { return _mm256_add_pd(a, b); }
+  static T fma1(T a, T b, T c) { return __builtin_fma(a, b, c); }
+  static T reduce(const T* l) { return (l[0] + l[1]) + (l[2] + l[3]); }
+};
+
+struct R32 {  // eight float lanes
+  using T = float;
+  using V = __m256;
+  static constexpr std::size_t kLanes = 8;
+  static V zero() { return _mm256_setzero_ps(); }
+  static V load(const T* p) { return _mm256_loadu_ps(p); }
+  static void store(T* p, V v) { _mm256_storeu_ps(p, v); }
+  static V set1(T v) { return _mm256_set1_ps(v); }
+  static V fma(V a, V b, V c) { return _mm256_fmadd_ps(a, b, c); }
+  static V mul(V a, V b) { return _mm256_mul_ps(a, b); }
+  static V add(V a, V b) { return _mm256_add_ps(a, b); }
+  static T fma1(T a, T b, T c) { return __builtin_fmaf(a, b, c); }
+  static T reduce(const T* l) {
+    return ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
   }
-  for (std::size_t i = n8; i < n; ++i) {
-    acc[i] = __builtin_fmaf(d, row[i], acc[i]);
-  }
+};
+
+void avx2_segment_dots(const double* x, std::size_t n, std::size_t stride,
+                       std::size_t count, double* out) {
+  segment_dots_t<R64>(x, n, stride, count, out);
+}
+
+void avx2_segment_dots_f(const float* x, std::size_t n, std::size_t stride,
+                         std::size_t count, float* out) {
+  segment_dots_t<R32>(x, n, stride, count, out);
+}
+
+void avx2_sdft_run(double* acc, const double* rows, std::size_t bins,
+                   const double* x, std::size_t window, std::size_t len,
+                   const SdftEmit<double>* emits, std::size_t n_emits) {
+  sdft_run_t<R64>(acc, rows, bins, x, window, len, emits, n_emits);
+}
+
+void avx2_sdft_run_f(float* acc, const float* rows, std::size_t bins,
+                     const float* x, std::size_t window, std::size_t len,
+                     const SdftEmit<float>* emits, std::size_t n_emits) {
+  sdft_run_t<R32>(acc, rows, bins, x, window, len, emits, n_emits);
 }
 
 // ---------------------------------------------------------------------------
@@ -147,6 +181,18 @@ struct F64x2 {  // two complex double per vector
   // v = b*w with the unfused legacy tree: even lanes br*wr - bi*wi, odd
   // lanes bi*wr + br*wi (separate mul then addsub — no contraction). `wv`
   // is already conjugated when the transform asks for it.
+  static V mul(V a, V b) { return _mm256_mul_pd(a, b); }
+  static V addsub(V a, V b) { return _mm256_addsub_pd(a, b); }
+  static V set2(double re, double im) { return _mm256_set_pd(im, re, im, re); }
+  static V swap(V a) { return _mm256_permute_pd(a, 0b0101); }  // [im re]
+  static V rev(V a) { return _mm256_permute2f128_pd(a, a, 0x01); }
+  // Stores lane j at p[slot[j]].
+  static void scatter(C* p, const std::uint32_t* slot, V v) {
+    _mm_storeu_pd(reinterpret_cast<double*>(p + slot[0]),
+                  _mm256_castpd256_pd128(v));
+    _mm_storeu_pd(reinterpret_cast<double*>(p + slot[1]),
+                  _mm256_extractf128_pd(v, 1));
+  }
   static V cmul(V bv, V wv) {
     const __m256d wr = _mm256_movedup_pd(wv);          // [wr0 wr0 wr1 wr1]
     const __m256d wi = _mm256_permute_pd(wv, 0b1111);  // [wi0 wi0 wi1 wi1]
@@ -173,6 +219,24 @@ struct F32x4 {  // four complex float per vector
     return conj_w ? _mm256_set_ps(-0.0f, 0.0f, -0.0f, 0.0f, -0.0f, 0.0f,
                                   -0.0f, 0.0f)
                   : _mm256_setzero_ps();
+  }
+  static V mul(V a, V b) { return _mm256_mul_ps(a, b); }
+  static V addsub(V a, V b) { return _mm256_addsub_ps(a, b); }
+  static V set2(float re, float im) {
+    return _mm256_set_ps(im, re, im, re, im, re, im, re);
+  }
+  static V swap(V a) { return _mm256_permute_ps(a, 0b10110001); }
+  static V rev(V a) {  // a complex float is one 64-bit lane
+    return _mm256_castpd_ps(
+        _mm256_permute4x64_pd(_mm256_castps_pd(a), 0b00011011));
+  }
+  static void scatter(C* p, const std::uint32_t* slot, V v) {
+    const __m128d lo = _mm256_castpd256_pd128(_mm256_castps_pd(v));
+    const __m128d hi = _mm256_extractf128_pd(_mm256_castps_pd(v), 1);
+    _mm_storel_pd(reinterpret_cast<double*>(p + slot[0]), lo);
+    _mm_storeh_pd(reinterpret_cast<double*>(p + slot[1]), lo);
+    _mm_storel_pd(reinterpret_cast<double*>(p + slot[2]), hi);
+    _mm_storeh_pd(reinterpret_cast<double*>(p + slot[3]), hi);
   }
   static V cmul(V bv, V wv) {
     const __m256 wr = _mm256_moveldup_ps(wv);
@@ -335,15 +399,43 @@ void avx2_fft_stages_f(cplxf* data, const cplxf* tw, std::size_t m,
   avx2_fft_stages_t<F32x4>(data, tw, m, conj_w);
 }
 
+// Real-FFT untwiddles (simd_passes.h) over the butterfly traits.
+
+void avx2_rfft_untwiddle(const cplx* z, const cplx* tw, cplx* out,
+                         std::size_t h) {
+  rfft_untwiddle_t<F64x2>(z, tw, out, h);
+}
+
+void avx2_rfft_untwiddle_f(const cplxf* z, const cplxf* tw, cplxf* out,
+                           std::size_t h) {
+  rfft_untwiddle_t<F32x4>(z, tw, out, h);
+}
+
+void avx2_irfft_untwiddle(const cplx* in, const cplx* tw, cplx* zf,
+                          std::size_t h, const std::uint32_t* slot) {
+  irfft_untwiddle_t<F64x2>(in, tw, zf, h, slot);
+}
+
+void avx2_irfft_untwiddle_f(const cplxf* in, const cplxf* tw, cplxf* zf,
+                            std::size_t h, const std::uint32_t* slot) {
+  irfft_untwiddle_t<F32x4>(in, tw, zf, h, slot);
+}
+
 constexpr Kernels kAvx2Kernels{"avx2",
                                avx2_cmul_inplace,
                                avx2_dot,
-                               avx2_sdft_update,
+                               avx2_segment_dots,
+                               avx2_sdft_run,
                                avx2_fft_stages,
+                               avx2_rfft_untwiddle,
+                               avx2_irfft_untwiddle,
                                avx2_cmul_inplace_f,
                                avx2_dot_f,
-                               avx2_sdft_update_f,
-                               avx2_fft_stages_f};
+                               avx2_segment_dots_f,
+                               avx2_sdft_run_f,
+                               avx2_fft_stages_f,
+                               avx2_rfft_untwiddle_f,
+                               avx2_irfft_untwiddle_f};
 
 }  // namespace
 

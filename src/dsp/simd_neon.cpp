@@ -6,8 +6,10 @@
 // (vfmaq_f64 pairs with std::fma; the two 128-bit accumulators hold lanes
 // {0,1} and {2,3} of the shared 4-lane structure; reductions run in the
 // fixed (l0 + l1) + (l2 + l3) order), so results are bit-identical to the
-// scalar kernels.
+// scalar kernels. The confirmation, moving-DFT and untwiddle passes come
+// from simd_passes.h over the traits structs below.
 #include "dsp/simd_internal.h"
+#include "dsp/simd_passes.h"
 
 #if defined(AQUA_SIMD_HAVE_NEON)
 
@@ -47,15 +49,6 @@ double neon_dot(const double* a, const double* b, std::size_t n) {
     lane[i & 3] = __builtin_fma(a[i], b[i], lane[i & 3]);
   }
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
-}
-
-void neon_sdft_update(double* acc, const double* row, double d,
-                      std::size_t n) {
-  const std::size_t n2 = n & ~std::size_t{1};
-  for (std::size_t i = 0; i < n2; i += 2) {
-    vst1q_f64(acc + i, vfmaq_n_f64(vld1q_f64(acc + i), vld1q_f64(row + i), d));
-  }
-  if (n2 < n) acc[n2] = __builtin_fma(d, row[n2], acc[n2]);
 }
 
 void neon_fft_stages(cplx* data, const cplx* tw, std::size_t m,
@@ -142,17 +135,6 @@ float neon_dot_f(const float* a, const float* b, std::size_t n) {
          ((lane[4] + lane[5]) + (lane[6] + lane[7]));
 }
 
-void neon_sdft_update_f(float* acc, const float* row, float d,
-                        std::size_t n) {
-  const std::size_t n4 = n & ~std::size_t{3};
-  for (std::size_t i = 0; i < n4; i += 4) {
-    vst1q_f32(acc + i, vfmaq_n_f32(vld1q_f32(acc + i), vld1q_f32(row + i), d));
-  }
-  for (std::size_t i = n4; i < n; ++i) {
-    acc[i] = __builtin_fmaf(d, row[i], acc[i]);
-  }
-}
-
 // Two butterflies on [a0 a1] / [b0 b1] with twiddles [w0 w1]: the same
 // legacy tree as the double kernel, two complex per vector.
 inline void neon_bfly_f(float32x4_t& av, float32x4_t& bv, float32x4_t wv) {
@@ -219,15 +201,206 @@ void neon_fft_stages_f(cplxf* data, const cplxf* tw, std::size_t m,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Real-lane kernels (confirmation dots, moving DFT): the passes of
+// simd_passes.h over the dot's lane structure, held in two registers
+// (lanes {0, 1} / {2, 3} of the double dot, {0..3} / {4..7} of the float
+// dot), exactly as neon_dot / neon_dot_f hold them.
+// ---------------------------------------------------------------------------
+
+struct N64 {  // four double lanes
+  using T = double;
+  struct V {
+    float64x2_t lo, hi;
+  };
+  static constexpr std::size_t kLanes = 4;
+  static V zero() { return {vdupq_n_f64(0.0), vdupq_n_f64(0.0)}; }
+  static V load(const T* p) { return {vld1q_f64(p), vld1q_f64(p + 2)}; }
+  static void store(T* p, V v) {
+    vst1q_f64(p, v.lo);
+    vst1q_f64(p + 2, v.hi);
+  }
+  static V set1(T v) { return {vdupq_n_f64(v), vdupq_n_f64(v)}; }
+  static V fma(V a, V b, V c) {
+    return {vfmaq_f64(c.lo, a.lo, b.lo), vfmaq_f64(c.hi, a.hi, b.hi)};
+  }
+  static V mul(V a, V b) {
+    return {vmulq_f64(a.lo, b.lo), vmulq_f64(a.hi, b.hi)};
+  }
+  static V add(V a, V b) {
+    return {vaddq_f64(a.lo, b.lo), vaddq_f64(a.hi, b.hi)};
+  }
+  static T fma1(T a, T b, T c) { return __builtin_fma(a, b, c); }
+  static T reduce(const T* l) { return (l[0] + l[1]) + (l[2] + l[3]); }
+};
+
+struct N32 {  // eight float lanes
+  using T = float;
+  struct V {
+    float32x4_t lo, hi;
+  };
+  static constexpr std::size_t kLanes = 8;
+  static V zero() { return {vdupq_n_f32(0.0f), vdupq_n_f32(0.0f)}; }
+  static V load(const T* p) { return {vld1q_f32(p), vld1q_f32(p + 4)}; }
+  static void store(T* p, V v) {
+    vst1q_f32(p, v.lo);
+    vst1q_f32(p + 4, v.hi);
+  }
+  static V set1(T v) { return {vdupq_n_f32(v), vdupq_n_f32(v)}; }
+  static V fma(V a, V b, V c) {
+    return {vfmaq_f32(c.lo, a.lo, b.lo), vfmaq_f32(c.hi, a.hi, b.hi)};
+  }
+  static V mul(V a, V b) {
+    return {vmulq_f32(a.lo, b.lo), vmulq_f32(a.hi, b.hi)};
+  }
+  static V add(V a, V b) {
+    return {vaddq_f32(a.lo, b.lo), vaddq_f32(a.hi, b.hi)};
+  }
+  static T fma1(T a, T b, T c) { return __builtin_fmaf(a, b, c); }
+  static T reduce(const T* l) {
+    return ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
+  }
+};
+
+void neon_segment_dots(const double* x, std::size_t n, std::size_t stride,
+                       std::size_t count, double* out) {
+  segment_dots_t<N64>(x, n, stride, count, out);
+}
+
+void neon_segment_dots_f(const float* x, std::size_t n, std::size_t stride,
+                         std::size_t count, float* out) {
+  segment_dots_t<N32>(x, n, stride, count, out);
+}
+
+void neon_sdft_run(double* acc, const double* rows, std::size_t bins,
+                   const double* x, std::size_t window, std::size_t len,
+                   const SdftEmit<double>* emits, std::size_t n_emits) {
+  sdft_run_t<N64>(acc, rows, bins, x, window, len, emits, n_emits);
+}
+
+void neon_sdft_run_f(float* acc, const float* rows, std::size_t bins,
+                     const float* x, std::size_t window, std::size_t len,
+                     const SdftEmit<float>* emits, std::size_t n_emits) {
+  sdft_run_t<N32>(acc, rows, bins, x, window, len, emits, n_emits);
+}
+
+// ---------------------------------------------------------------------------
+// Real-FFT untwiddles (simd_passes.h): one complex double or two complex
+// float per register. Sign flips are XORs with -0.0; addsub negates the
+// even lanes of its second operand and adds, which is the subtraction
+// bit for bit.
+// ---------------------------------------------------------------------------
+
+struct NC64 {  // one complex double per vector
+  using C = cplx;
+  using V = float64x2_t;
+  static constexpr std::size_t kLanes = 1;
+  static V load(const C* p) {
+    return vld1q_f64(reinterpret_cast<const double*>(p));
+  }
+  static void store(C* p, V v) { vst1q_f64(reinterpret_cast<double*>(p), v); }
+  static V flip(V a, V mask) {
+    return vreinterpretq_f64_u64(
+        veorq_u64(vreinterpretq_u64_f64(a), vreinterpretq_u64_f64(mask)));
+  }
+  static V conj_mask(bool conj) {
+    return conj ? vreinterpretq_f64_u64(vsetq_lane_u64(
+                      0x8000000000000000ull, vdupq_n_u64(0), 1))
+                : vdupq_n_f64(0.0);
+  }
+  static V set2(double re, double im) { return V{re, im}; }
+  static V mul(V a, V b) { return vmulq_f64(a, b); }
+  static V add(V a, V b) { return vaddq_f64(a, b); }
+  static V sub(V a, V b) { return vsubq_f64(a, b); }
+  static V addsub(V a, V b) {
+    const V neg_even = vreinterpretq_f64_u64(
+        vsetq_lane_u64(0x8000000000000000ull, vdupq_n_u64(0), 0));
+    return vaddq_f64(a, flip(b, neg_even));
+  }
+  static V swap(V a) { return vextq_f64(a, a, 1); }
+  static V rev(V a) { return a; }
+  static void scatter(C* p, const std::uint32_t* slot, V v) {
+    store(p + slot[0], v);
+  }
+  static V cmul(V bv, V wv) {
+    const V m1 = vmulq_f64(bv, vdupq_laneq_f64(wv, 0));  // [br*wr bi*wr]
+    const V m2 = vmulq_f64(swap(bv), vdupq_laneq_f64(wv, 1));  // [bi*wi br*wi]
+    return addsub(m1, m2);
+  }
+};
+
+struct NC32 {  // two complex float per vector
+  using C = cplxf;
+  using V = float32x4_t;
+  static constexpr std::size_t kLanes = 2;
+  static V load(const C* p) {
+    return vld1q_f32(reinterpret_cast<const float*>(p));
+  }
+  static void store(C* p, V v) { vst1q_f32(reinterpret_cast<float*>(p), v); }
+  static V flip(V a, V mask) {
+    return vreinterpretq_f32_u32(
+        veorq_u32(vreinterpretq_u32_f32(a), vreinterpretq_u32_f32(mask)));
+  }
+  static V conj_mask(bool conj) {
+    const uint32x4_t m = {0u, 0x80000000u, 0u, 0x80000000u};
+    return conj ? vreinterpretq_f32_u32(m) : vdupq_n_f32(0.0f);
+  }
+  static V set2(float re, float im) { return V{re, im, re, im}; }
+  static V mul(V a, V b) { return vmulq_f32(a, b); }
+  static V add(V a, V b) { return vaddq_f32(a, b); }
+  static V sub(V a, V b) { return vsubq_f32(a, b); }
+  static V addsub(V a, V b) {
+    const uint32x4_t m = {0x80000000u, 0u, 0x80000000u, 0u};
+    return vaddq_f32(a, flip(b, vreinterpretq_f32_u32(m)));
+  }
+  static V swap(V a) { return vrev64q_f32(a); }
+  static V rev(V a) { return vextq_f32(a, a, 2); }  // [c1 c0]
+  static void scatter(C* p, const std::uint32_t* slot, V v) {
+    vst1_f32(reinterpret_cast<float*>(p + slot[0]), vget_low_f32(v));
+    vst1_f32(reinterpret_cast<float*>(p + slot[1]), vget_high_f32(v));
+  }
+  static V cmul(V bv, V wv) {
+    const V m1 = vmulq_f32(bv, vtrn1q_f32(wv, wv));        // [br*wr bi*wr]
+    const V m2 = vmulq_f32(swap(bv), vtrn2q_f32(wv, wv));  // [bi*wi br*wi]
+    return addsub(m1, m2);
+  }
+};
+
+void neon_rfft_untwiddle(const cplx* z, const cplx* tw, cplx* out,
+                         std::size_t h) {
+  rfft_untwiddle_t<NC64>(z, tw, out, h);
+}
+
+void neon_rfft_untwiddle_f(const cplxf* z, const cplxf* tw, cplxf* out,
+                           std::size_t h) {
+  rfft_untwiddle_t<NC32>(z, tw, out, h);
+}
+
+void neon_irfft_untwiddle(const cplx* in, const cplx* tw, cplx* zf,
+                          std::size_t h, const std::uint32_t* slot) {
+  irfft_untwiddle_t<NC64>(in, tw, zf, h, slot);
+}
+
+void neon_irfft_untwiddle_f(const cplxf* in, const cplxf* tw, cplxf* zf,
+                            std::size_t h, const std::uint32_t* slot) {
+  irfft_untwiddle_t<NC32>(in, tw, zf, h, slot);
+}
+
 constexpr Kernels kNeonKernels{"neon",
                                neon_cmul_inplace,
                                neon_dot,
-                               neon_sdft_update,
+                               neon_segment_dots,
+                               neon_sdft_run,
                                neon_fft_stages,
+                               neon_rfft_untwiddle,
+                               neon_irfft_untwiddle,
                                neon_cmul_inplace_f,
                                neon_dot_f,
-                               neon_sdft_update_f,
-                               neon_fft_stages_f};
+                               neon_segment_dots_f,
+                               neon_sdft_run_f,
+                               neon_fft_stages_f,
+                               neon_rfft_untwiddle_f,
+                               neon_irfft_untwiddle_f};
 
 }  // namespace
 

@@ -48,19 +48,31 @@ SlidingDftTable<T>::SlidingDftTable(const SlidingDftShape& shape)
     base_re[m] = static_cast<T>(std::cos(a));
     base_im[m] = static_cast<T>(std::sin(a));
   }
-  // Row p, bin b: base[(b * p) mod n], the index walked with integer adds.
+  // Row p, bin b: base[(b * p) mod n], the index walked with integer adds;
+  // bin k sits in block k / B at lane k % B, the padding lanes stay zero.
+  constexpr std::size_t kB = simd::kSdftBlock<T>;
   const std::size_t bins = shape.num_bins;
-  rows_.resize(n * 2 * bins);
+  width_ = (bins + kB - 1) / kB * 2 * kB;
+  rows_.assign(n * width_, T(0));
   std::vector<std::size_t> idx(bins, 0);
   for (std::size_t p = 0; p < n; ++p) {
-    T* row = rows_.data() + p * 2 * bins;
+    T* row = rows_.data() + p * width_;
     for (std::size_t k = 0; k < bins; ++k) {
-      row[k] = base_re[idx[k]];
-      row[bins + k] = base_im[idx[k]];
+      T* blk = row + (k / kB) * 2 * kB;
+      blk[k % kB] = base_re[idx[k]];
+      blk[kB + k % kB] = base_im[idx[k]];
       idx[k] += shape.first_bin + k;
       if (idx[k] >= n) idx[k] -= n;
     }
   }
+}
+
+template <typename T>
+std::complex<T> SlidingDftTable<T>::phasor(std::size_t p,
+                                           std::size_t k) const {
+  constexpr std::size_t kB = simd::kSdftBlock<T>;
+  const T* blk = row(p) + (k / kB) * 2 * kB;
+  return {blk[k % kB], blk[kB + k % kB]};
 }
 
 template class SlidingDftTable<double>;
@@ -85,8 +97,7 @@ std::size_t DftRowGrid::rows(std::size_t count) const {
 namespace {
 
 // Shared implementation for both sample types: the running sums and the
-// per-sample kernel update run in T (the periodic re-seed bounds the fp32
-// drift).
+// kernel runs are in T (the periodic re-seed bounds the fp32 drift).
 template <typename T>
 void moving_dft_power_impl(std::span<const T> x,
                            const SlidingDftTable<T>& table,
@@ -113,33 +124,34 @@ void moving_dft_power_impl(std::span<const T> x,
   }
   if (out.empty()) return;
 
-  // Per-bin running sums S_b(s) as one [re | im] array, the layout of the
-  // table rows, so one kernel call advances every bin.
-  Scratch<T> acc_s(ws, 2 * num_bins);
+  // Per-bin running sums S_b(s) in the blocked layout of the table rows,
+  // so one kernel run advances every bin.
+  constexpr std::size_t kB = simd::kSdftBlock<T>;
+  Scratch<T> acc_s(ws, table.width());
   T* acc = acc_s->data();
-  T* acc_im = acc + num_bins;
 
   // Seed every bin at window start `s` (row q = s mod window) from ONE
   // packed real transform of the window (bins above window/2 are the
   // conjugate mirror), rotated by the window-start phase
-  // e^{-j 2 pi b s / window} the running sum carries.
+  // e^{-j 2 pi b s / window} the running sum carries. Padding lanes hold 0.
   Scratch<C> spec_s(ws, window / 2 + 1);
   std::span<C> spec = spec_s.span();
   const auto seed = [&](std::size_t s, std::size_t q) {
     rfft_into(x.subspan(s, window), spec, ws);
-    const T* w = table.row(q);
+    std::fill(acc, acc + table.width(), T(0));
     for (std::size_t k = 0; k < num_bins; ++k) {
       const std::size_t b = first_bin + k;
       const C z = b <= window / 2 ? spec[b] : std::conj(spec[window - b]);
-      const C a = z * C{w[k], w[num_bins + k]};
-      acc[k] = a.real();
-      acc_im[k] = a.imag();
+      const C a = z * table.phasor(q, k);
+      T* blk = acc + (k / kB) * 2 * kB;
+      blk[k % kB] = a.real();
+      blk[kB + k % kB] = a.imag();
     }
   };
 
   // Grid bookkeeping with counters: next[r] is the next start offset r
   // writes, into row slot[r]; an offset whose rows are all written parks
-  // at `done`. `emit_at` is the nearest pending start over all offsets.
+  // at `done`.
   constexpr std::size_t done = std::numeric_limits<std::size_t>::max();
   const std::size_t slots = rows * reps;
   std::array<std::size_t, DftRowGrid::kMaxOffsets> next{};
@@ -150,39 +162,51 @@ void moving_dft_power_impl(std::span<const T> x,
     slot[r] = r;
     last = std::max(last, (rows - 1) * grid.step + grid.offsets[r]);
   }
-  std::size_t emit_at = *std::min_element(next.begin(), next.begin() + reps);
-  const auto emit = [&](std::size_t s) {
-    for (std::size_t r = 0; r < reps; ++r) {
-      if (next[r] != s) continue;
-      T* row = out.data() + slot[r] * num_bins;
-      for (std::size_t k = 0; k < num_bins; ++k) {
-        row[k] = acc[k] * acc[k] + acc_im[k] * acc_im[k];
-      }
-      slot[r] += reps;
-      next[r] = slot[r] < slots ? next[r] + grid.step : done;
-    }
-    emit_at = *std::min_element(next.begin(), next.begin() + reps);
-  };
 
-  seed(0, 0);
-  if (emit_at == 0) emit(0);
+  // Runs of updates from window start s. A run ends at the last start,
+  // before a re-seed, where the row index wraps, or after the last start
+  // whose rows all fit its emit list (a start's rows never straddle two
+  // runs); its emits are the grid rows whose starts it reaches, in start
+  // order, each written once.
+  constexpr std::size_t kMaxEmits = 64;
+  std::array<simd::SdftEmit<T>, kMaxEmits> emits;
   const simd::Kernels& kern = simd::active();
   std::size_t next_seed = kReaccumulateInterval;
-  std::size_t p = 0;  // (s - 1) mod window at the top of step s
-  for (std::size_t s = 1; s <= last; ++s) {
-    const std::size_t q = p + 1 == window ? 0 : p + 1;  // s mod window
-    if (s == next_seed) {
-      seed(s, q);
-      next_seed += kReaccumulateInterval;
-    } else {
-      // Remove x[s-1], append x[s-1+window]; every bin's removed and added
-      // terms share phasor row (s-1) mod window — one fused
-      // multiply-add per running-sum component.
-      const T d = x[s - 1 + window] - x[s - 1];
-      simd::sdft_update(kern, acc, table.row(p), d, 2 * num_bins);
+  std::size_t s = 0;  // the sums hold S(s)
+  std::size_t p = 0;  // s mod window: the row of the update out of s
+  seed(0, 0);
+  for (;;) {
+    std::size_t end = std::min({last, next_seed - 1, s + (window - p)});
+    std::size_t n_emits = 0;
+    for (;;) {
+      std::size_t r_min = 0;
+      for (std::size_t r = 1; r < reps; ++r) {
+        if (next[r] < next[r_min]) r_min = r;
+      }
+      const std::size_t at = next[r_min];
+      if (at > end) break;
+      // A new start needs room for all `reps` of its rows.
+      if (n_emits + reps > kMaxEmits && emits[n_emits - 1].after + s != at) {
+        end = emits[n_emits - 1].after + s;
+        break;
+      }
+      emits[n_emits++] = {at - s, out.data() + slot[r_min] * num_bins};
+      slot[r_min] += reps;
+      next[r_min] = slot[r_min] < slots ? at + grid.step : done;
     }
-    p = q;
-    if (s == emit_at) emit(s);
+    simd::sdft_run(kern, acc, table.row(p), num_bins, x.data() + s, window,
+                   end - s, emits.data(), n_emits);
+    p += end - s;
+    if (p == window) p = 0;
+    s = end;
+    if (s == last) break;
+    if (s + 1 == next_seed) {
+      // Re-seed instead of updating into next_seed.
+      ++s;
+      p = p + 1 == window ? 0 : p + 1;
+      seed(s, p);
+      next_seed += kReaccumulateInterval;
+    }
   }
 }
 

@@ -14,15 +14,20 @@
 // Bin b's phasor index (b*s) mod n depends on s only through s mod n, so a
 // per-numerology table (SlidingDftTable) whose row p holds T[(b*p) mod n]
 // for every active bin turns each per-sample update into ONE contiguous
-// fused axpy, acc += d * row[(s-1) mod n], through the dispatched SIMD
-// kernel (dsp::simd::active().sdft_update): no gathers, no per-bin phase
-// counters. The table is built once per process per shape and costs
-// window * num_bins * 2 * sizeof(T) bytes: 960 x 60 (the paper's
-// numerology) is ~460 KB in float, ~920 KB in double; the 10 Hz spacing of
-// Fig. 17 (4800 x 300) is ~11.5 MB in float. Rows p and n - p are
-// conjugates up to the rounding of the base table, so halving the table
-// would first need a base table made exactly conjugate-symmetric — a
-// rounding change to every decode.
+// fused axpy, acc += d * row[(s-1) mod n]. The dispatched run kernel
+// (dsp::simd::active().sdft_run) applies a whole run of those updates
+// with the sums held in registers and writes the requested power rows
+// straight from them: no gathers, no per-bin phase counters, no per-sample
+// call. Rows and sums are laid out in blocks of one vector of bins,
+// [re x kSdftBlock | im x kSdftBlock] per block, so a bin's real and
+// imaginary parts meet in the same lane of two registers. The table is
+// built once per process per shape and costs about window * num_bins * 2 *
+// sizeof(T) bytes: 960 x 60 (the paper's numerology) is ~490 KB in float
+// (64 bins padded), ~920 KB in double; the 10 Hz spacing of Fig. 17
+// (4800 x 300) is ~11.7 MB in float. Rows p and n - p are conjugates up to
+// the rounding of the base table, so halving the table would first need a
+// base table made exactly conjugate-symmetric — a rounding change to every
+// decode.
 //
 // The running sums are re-seeded periodically — against rounding drift
 // growing with the capture length — from ONE packed real FFT of the window
@@ -31,6 +36,7 @@
 // holds the decoder's search grid, not every window start.
 #pragma once
 
+#include <complex>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -50,9 +56,11 @@ struct SlidingDftShape {
 
 /// Phasor rows of one bin bank in precision T: row p (p < window) holds
 /// e^{-j 2 pi ((b p) mod window) / window} for b = first_bin + k, k <
-/// num_bins, as [re_0 .. re_{num_bins-1} | im_0 .. im_{num_bins-1}]. The
-/// base phasors are generated in double and rounded once into T. Immutable
-/// after construction; share it through sdft_table_of.
+/// num_bins, in blocks of B = simd::kSdftBlock bins (one 32-byte vector
+/// of T): block j holds the real parts of bins jB .. jB+B-1, then their
+/// imaginary parts; the bins past num_bins in the last block are zero.
+/// The base phasors are generated in double and rounded once into T.
+/// Immutable after construction; share it through sdft_table_of.
 template <typename T>
 class SlidingDftTable {
  public:
@@ -60,13 +68,16 @@ class SlidingDftTable {
   explicit SlidingDftTable(const SlidingDftShape& shape);
 
   const SlidingDftShape& shape() const { return shape_; }
-  /// Row p (< window): 2 * num_bins values, real parts then imaginary.
-  const T* row(std::size_t p) const {
-    return rows_.data() + p * 2 * shape_.num_bins;
-  }
+  /// Values per row: 2 * B per block, whole blocks.
+  std::size_t width() const { return width_; }
+  /// Row p (< window), blocked as described above.
+  const T* row(std::size_t p) const { return rows_.data() + p * width_; }
+  /// Bin k's phasor in row p.
+  std::complex<T> phasor(std::size_t p, std::size_t k) const;
 
  private:
   SlidingDftShape shape_;
+  std::size_t width_ = 0;
   std::vector<T> rows_;
 };
 
@@ -115,7 +126,7 @@ void moving_dft_power(std::span<const double> x,
                       Workspace& ws);
 
 /// Single-precision overload for the float receive front end: float phasor
-/// rows and running sums through the fp32 sdft kernel (twice the lanes per
+/// rows and running sums through the fp32 run kernel (twice the lanes per
 /// vector). The periodic re-seed bounds the fp32 amplitude drift exactly as
 /// in the double path.
 void moving_dft_power(std::span<const float> x,

@@ -60,33 +60,105 @@ const dsp::CrossCorrelator& Preamble::core_corr() const {
   return *core_corr_;
 }
 
+namespace {
+
+// The sliding metric from one start's confirmation dots: the PN-signed sum
+// of the seven adjacent-segment correlations over the window energy,
+// accumulated in double for every sample type.
+template <typename T>
+double metric_from_dots(const T* dots) {
+  double corr_sum = 0.0;
+  for (std::size_t s = 0; s + 1 < OfdmParams::kPreambleSymbols; ++s) {
+    const double sign = static_cast<double>(OfdmParams::kPnSigns[s] *
+                                            OfdmParams::kPnSigns[s + 1]);
+    corr_sum += sign * static_cast<double>(dots[s]);
+  }
+  const double energy_sum =
+      static_cast<double>(dots[OfdmParams::kPreambleSymbols - 1]);
+  if (energy_sum <= 1e-12) return 0.0;
+  return corr_sum / energy_sum;
+}
+
+static_assert(dsp::simd::kSegments == OfdmParams::kPreambleSymbols);
+
+}  // namespace
+
 template <typename T>
 double Preamble::sliding_metric_at_t(std::span<const T> signal,
                                      std::size_t start) const {
-  const std::size_t n = params_.symbol_samples();
   if (start + core_samples_ > signal.size()) return 0.0;
   // Segment correlations and the window energy are contiguous dot products
-  // — the dispatched SIMD kernel of T's precision runs them (batch detect()
-  // and the streaming scanner share this function, so both paths stay
-  // identical). The metric itself accumulates in double for every T.
+  // — the dispatched confirmation kernel of T's precision runs them (batch
+  // detect() and the streaming scanner call the same kernel, so both paths
+  // stay identical).
+  T dots[dsp::simd::kSegments];
+  dsp::simd::segment_dots(dsp::simd::active(), signal.data() + start,
+                          params_.symbol_samples(), 1, 1, dots);
+  return metric_from_dots(dots);
+}
+
+template <typename T>
+void Preamble::best_of(std::span<const T> signal, std::uint64_t base,
+                       std::uint64_t first, std::uint64_t end,
+                       std::size_t stride, double& best_metric,
+                       std::uint64_t& best_idx) const {
+  if (signal.size() < core_samples_) return;
+  // Starts whose window lies inside the signal; the rest score 0, which
+  // never beats best_metric (it starts at 0 and only grows).
+  std::uint64_t i = first;
+  if (i < base) i += (base - i + stride - 1) / stride * stride;
+  const std::uint64_t stop =
+      std::min<std::uint64_t>(end, base + signal.size() - core_samples_ + 1);
+  constexpr std::size_t kChunk = 32;
+  T dots[kChunk * dsp::simd::kSegments];
   const dsp::simd::Kernels& kern = dsp::simd::active();
-  double corr_sum = 0.0;
-  for (std::size_t s = 0; s + 1 < OfdmParams::kPreambleSymbols; ++s) {
-    const T* a = signal.data() + start + s * n;
-    const double sign = static_cast<double>(OfdmParams::kPnSigns[s] *
-                                            OfdmParams::kPnSigns[s + 1]);
-    corr_sum += sign * static_cast<double>(dsp::simd::dot(kern, a, a + n, n));
+  while (i < stop) {
+    const std::size_t count = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kChunk, (stop - i + stride - 1) / stride));
+    dsp::simd::segment_dots(kern,
+                            signal.data() + static_cast<std::size_t>(i - base),
+                            params_.symbol_samples(), stride, count, dots);
+    for (std::size_t c = 0; c < count; ++c) {
+      const double m = metric_from_dots(dots + c * dsp::simd::kSegments);
+      if (m > best_metric) {
+        best_metric = m;
+        best_idx = i + c * stride;
+      }
+    }
+    i += count * stride;
   }
-  const double energy_sum = static_cast<double>(dsp::simd::dot(
-      kern, signal.data() + start, signal.data() + start, core_samples_));
-  if (energy_sum <= 1e-12) return 0.0;
-  return corr_sum / energy_sum;
+}
+
+template <typename T>
+std::pair<double, std::uint64_t> Preamble::confirm(std::span<const T> signal,
+                                                   std::uint64_t base,
+                                                   std::uint64_t lo,
+                                                   std::uint64_t hi) const {
+  double best_metric = 0.0;
+  std::uint64_t best_idx = lo;
+  best_of(signal, base, lo, hi, kSlidingStep, best_metric, best_idx);
+  // Fine pass over [c - step, c + step] at step 1. c itself and c +/- step,
+  // where those lie in [lo, hi), are coarse-pass starts already scored.
+  const std::uint64_t c = best_idx;
+  const std::uint64_t f_lo = c > kSlidingStep ? c - kSlidingStep : 0;
+  const bool left_scored = c >= lo + kSlidingStep;
+  const bool right_scored = c + kSlidingStep < hi;
+  best_of(signal, base, f_lo + (left_scored ? 1 : 0), c, 1, best_metric,
+          best_idx);
+  best_of(signal, base, c + 1, c + kSlidingStep + (right_scored ? 0 : 1), 1,
+          best_metric, best_idx);
+  return {best_metric, best_idx};
 }
 
 template double Preamble::sliding_metric_at_t<double>(std::span<const double>,
                                                       std::size_t) const;
 template double Preamble::sliding_metric_at_t<float>(std::span<const float>,
                                                      std::size_t) const;
+template std::pair<double, std::uint64_t> Preamble::confirm<double>(
+    std::span<const double>, std::uint64_t, std::uint64_t,
+    std::uint64_t) const;
+template std::pair<double, std::uint64_t> Preamble::confirm<float>(
+    std::span<const float>, std::uint64_t, std::uint64_t, std::uint64_t) const;
 
 double Preamble::sliding_metric_at(std::span<const double> signal,
                                    std::size_t start) const {
@@ -141,28 +213,11 @@ std::optional<PreambleDetection> Preamble::detect(
   for (const Candidate& c : candidates) {
     const std::size_t lo = c.index > n ? c.index - n : 0;
     const std::size_t hi = std::min(c.index + n, signal.size());
-    double best_metric = 0.0;
-    std::size_t best_idx = lo;
-    for (std::size_t i = lo; i < hi; i += kSlidingStep) {
-      const double m = sliding_metric_at(signal, i);
-      if (m > best_metric) {
-        best_metric = m;
-        best_idx = i;
-      }
-    }
-    // Fine pass.
-    const std::size_t flo = best_idx > kSlidingStep ? best_idx - kSlidingStep : 0;
-    const std::size_t fhi = std::min(best_idx + kSlidingStep + 1, signal.size());
-    for (std::size_t i = flo; i < fhi; ++i) {
-      const double m = sliding_metric_at(signal, i);
-      if (m > best_metric) {
-        best_metric = m;
-        best_idx = i;
-      }
-    }
+    const auto [best_metric, best_idx] = confirm(signal, 0, lo, hi);
     if (best_metric >= kSlidingThreshold) {
       if (!best || best_metric > best->sliding_metric) {
-        best = PreambleDetection{best_idx, best_metric, c.value};
+        best = PreambleDetection{static_cast<std::size_t>(best_idx),
+                                 best_metric, c.value};
       }
     }
   }
@@ -236,16 +291,6 @@ std::uint64_t BasicPreambleScanner<T>::decided_through() const {
   const std::uint64_t settled = frontier > horizon ? frontier - horizon : 0;
   return pending_ ? std::min<std::uint64_t>(pending_->start_index, settled)
                   : settled;
-}
-
-template <typename T>
-double BasicPreambleScanner<T>::metric_at(std::uint64_t abs_index) const {
-  // Below the ring means below anything a legitimate probe can reach
-  // (trim_rings retains the full confirmation span including the fine
-  // pass); the guard only turns a corner-case wild read into a 0.
-  if (abs_index < filt_base_) return 0.0;
-  return pre_->sliding_metric_at_t<T>(
-      filt_, static_cast<std::size_t>(abs_index - filt_base_));
 }
 
 template <typename T>
@@ -369,28 +414,12 @@ void BasicPreambleScanner<T>::process_window(
   if (coarse_peak <= Preamble::kCoarseThreshold) return;
 
   // Confirmation: sliding segment correlation around the candidate, step 8,
-  // then a +/-step fine pass — identical to the batch stage 2.
+  // then a +/-step fine pass — identical to the batch stage 2. The rings
+  // retain every start it can reach (trim_rings keeps the full span
+  // including the fine pass).
   const std::uint64_t s_lo = c > n_ ? c - n_ : 0;
-  const std::uint64_t s_hi = c + n_;
-  double best_metric = 0.0;
-  std::uint64_t best_idx = s_lo;
-  for (std::uint64_t i = s_lo; i < s_hi; i += Preamble::kSlidingStep) {
-    const double m = metric_at(i);
-    if (m > best_metric) {
-      best_metric = m;
-      best_idx = i;
-    }
-  }
-  const std::uint64_t f_lo =
-      best_idx > Preamble::kSlidingStep ? best_idx - Preamble::kSlidingStep : 0;
-  const std::uint64_t f_hi = best_idx + Preamble::kSlidingStep + 1;
-  for (std::uint64_t i = f_lo; i < f_hi; ++i) {
-    const double m = metric_at(i);
-    if (m > best_metric) {
-      best_metric = m;
-      best_idx = i;
-    }
-  }
+  const auto [best_metric, best_idx] = pre_->confirm<T>(
+      filt_, filt_base_, s_lo, c + n_);
   if (best_metric < Preamble::kSlidingThreshold) return;
 
   PreambleDetection det{static_cast<std::size_t>(best_idx), best_metric,

@@ -16,6 +16,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <utility>
 #include <span>
 #include <vector>
 
@@ -62,9 +63,10 @@ class Preamble {
   double sliding_metric_at(std::span<const double> signal,
                            std::size_t start) const;
 
-  /// Sample-type generic form of the same metric: segment dot products run
-  /// through the dispatched kernel of T's precision, the metric itself
-  /// accumulates in double. The double instantiation IS sliding_metric_at.
+  /// Sample-type generic form of the same metric: the segment dot products
+  /// run through the dispatched confirmation kernel of T's precision, the
+  /// metric itself accumulates in double. The double instantiation IS
+  /// sliding_metric_at.
   template <typename T>
   double sliding_metric_at_t(std::span<const T> signal,
                              std::size_t start) const;
@@ -92,6 +94,26 @@ class Preamble {
   /// template), and streaming endpoints — which construct a Preamble per
   /// session but never batch-detect — should not pay for it.
   const dsp::CrossCorrelator& core_corr() const;
+
+  /// Stage 2, shared by detect() and the scanner: the sliding metric at
+  /// every kSlidingStep-th start in [lo, hi), then a step-1 fine pass over
+  /// best +/- kSlidingStep that skips the starts the coarse pass already
+  /// scored (under the strict `>` they cannot win). Starts are absolute;
+  /// signal[0] is start `base`, and a start whose window leaves the signal
+  /// scores 0. Returns the best metric (0 when none is positive) and its
+  /// start (lo then).
+  template <typename T>
+  std::pair<double, std::uint64_t> confirm(std::span<const T> signal,
+                                           std::uint64_t base,
+                                           std::uint64_t lo,
+                                           std::uint64_t hi) const;
+
+  /// Scores the starts first, first + stride, ... below `end` in order
+  /// through the batch kernel, keeping the first strict maximum.
+  template <typename T>
+  void best_of(std::span<const T> signal, std::uint64_t base,
+               std::uint64_t first, std::uint64_t end, std::size_t stride,
+               double& best_metric, std::uint64_t& best_idx) const;
 
   OfdmParams params_;
   Ofdm ofdm_;
@@ -150,7 +172,6 @@ class BasicPreambleScanner {
   void process_window(std::uint64_t lo, std::uint64_t hi,
                       std::vector<PreambleDetection>& out);
   void trim_rings();
-  double metric_at(std::uint64_t abs_index) const;
 
   const Preamble* pre_;
   std::size_t n_ = 0;       ///< symbol samples

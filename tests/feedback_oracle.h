@@ -29,6 +29,19 @@
 
 namespace aqua::oracle {
 
+// |S|^2 of one running sum, unfused as the run kernel computes it; the
+// compiler must not contract it where the baseline ISA has FMA (AArch64).
+#if defined(__GNUC__) && !defined(__clang__)
+#define AQUA_ORACLE_NO_CONTRACT __attribute__((optimize("fp-contract=off")))
+#else
+#define AQUA_ORACLE_NO_CONTRACT
+#endif
+template <typename T>
+AQUA_ORACLE_NO_CONTRACT T unfused_power(T re, T im) {
+  return re * re + im * im;
+}
+#undef AQUA_ORACLE_NO_CONTRACT
+
 /// Dense moving-DFT power, out[s * num_bins + k] for every window start s.
 template <typename T>
 void reference_moving_dft_power(std::span<const T> x, std::size_t window,
@@ -62,7 +75,7 @@ void reference_moving_dft_power(std::span<const T> x, std::size_t window,
   const auto write_row = [&](std::size_t s) {
     T* row = out.data() + s * num_bins;
     for (std::size_t k = 0; k < num_bins; ++k) {
-      row[k] = acc_re[k] * acc_re[k] + acc_im[k] * acc_im[k];
+      row[k] = unfused_power(acc_re[k], acc_im[k]);
     }
   };
   seed(0);

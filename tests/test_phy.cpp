@@ -6,8 +6,11 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <random>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "channel/channel.h"
 #include "dsp/fir.h"
@@ -21,6 +24,7 @@
 #include "phy/preamble.h"
 #include "equalizer_oracle.h"
 #include "feedback_oracle.h"
+#include "preamble_oracle.h"
 
 namespace aqua::phy {
 namespace {
@@ -155,6 +159,110 @@ TEST(Preamble, SurvivesMultipathAndNoise) {
   auto det = pre.detect(rx, ws);
   ASSERT_TRUE(det.has_value());
   EXPECT_GT(det->sliding_metric, 0.3);
+}
+
+// --- Batch confirmation against the per-dot reference. -------------------
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void expect_same_detection(const std::optional<PreambleDetection>& got,
+                           const std::optional<PreambleDetection>& want,
+                           const std::string& what) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << what;
+  if (!want) return;
+  EXPECT_EQ(got->start_index, want->start_index) << what;
+  EXPECT_TRUE(same_bits(got->sliding_metric, want->sliding_metric))
+      << what << ": " << got->sliding_metric << " vs " << want->sliding_metric;
+  EXPECT_TRUE(same_bits(got->coarse_peak, want->coarse_peak)) << what;
+}
+
+// Captures that put the preamble mid-stream, at the very start (the
+// confirmation range clamps at 0), cut off at the end (starts whose window
+// leaves the signal score 0), through multipath at three ranges, and
+// none at all.
+std::vector<std::pair<std::string, std::vector<double>>> preamble_captures(
+    const OfdmParams& p, const Preamble& pre) {
+  std::vector<std::pair<std::string, std::vector<double>>> out;
+  const std::vector<double>& w = pre.waveform();
+  std::mt19937_64 rng(21);
+  std::normal_distribution<double> g(0.0, 0.02);
+  const auto noisy = [&](std::size_t lead, std::size_t tail) {
+    std::vector<double> x(lead, 0.0);
+    x.insert(x.end(), w.begin(), w.end());
+    x.resize(x.size() + tail, 0.0);
+    for (double& v : x) v += g(rng);
+    return x;
+  };
+  out.emplace_back("mid-stream", noisy(5000, 5000));
+  out.emplace_back("at start", noisy(3, 4000));
+  std::vector<double> cut = noisy(4000, 0);
+  cut.resize(cut.size() - p.symbol_samples() / 3);
+  out.emplace_back("cut off", cut);
+  dsp::Workspace ws;
+  for (const double range : {5.0, 10.0, 30.0}) {
+    channel::LinkConfig lc;
+    lc.site = channel::site_preset(channel::Site::kLake);
+    lc.range_m = range;
+    lc.seed = 33 + static_cast<std::uint32_t>(range);
+    channel::UnderwaterChannel ch(lc);
+    out.emplace_back("lake " + std::to_string(range) + " m",
+                     ch.transmit(w, ws, 0.05, 0.3));
+  }
+  std::vector<double> noise(30000);
+  for (double& v : noise) v = 5.0 * g(rng);
+  out.emplace_back("noise only", noise);
+  return out;
+}
+
+TEST(PreambleOracle, SlidingMetricMatchesPerDotReferenceBitForBit) {
+  const OfdmParams p;
+  Preamble pre(p);
+  const std::size_t n = p.symbol_samples();
+  for (const auto& [what, x] : preamble_captures(p, pre)) {
+    const std::vector<float> xf = dsp::convert_samples<float>(x);
+    for (std::size_t i = 0; i < x.size(); i += 97) {
+      for (const std::size_t at : {i, x.size() - pre.core_samples() + i % 5}) {
+        const double got = pre.sliding_metric_at(x, at);
+        const double want =
+            oracle::reference_sliding_metric<double>(x, n, at);
+        ASSERT_TRUE(same_bits(got, want)) << what << " start " << at;
+        const double got_f =
+            pre.sliding_metric_at_t<float>(std::span<const float>(xf), at);
+        const double want_f = oracle::reference_sliding_metric<float>(
+            std::span<const float>(xf), n, at);
+        ASSERT_TRUE(same_bits(got_f, want_f)) << what << " float start " << at;
+      }
+    }
+  }
+}
+
+TEST(PreambleOracle, DetectMatchesReferenceBitForBit) {
+  const OfdmParams p;
+  Preamble pre(p);
+  dsp::Workspace ws;
+  std::size_t detected = 0;
+  for (const auto& [what, x] : preamble_captures(p, pre)) {
+    const auto got = pre.detect(x, ws);
+    expect_same_detection(got, oracle::reference_detect(p, pre, x, ws), what);
+    detected += got.has_value() ? 1 : 0;
+  }
+  // Every capture but the noise-only one carries a preamble.
+  EXPECT_GE(detected, 5u);
+}
+
+TEST(PreambleOracle, DetectMatchesReferenceOnNanAndInfBearingCaptures) {
+  const OfdmParams p;
+  Preamble pre(p);
+  dsp::Workspace ws;
+  auto captures = preamble_captures(p, pre);
+  for (auto& [what, x] : captures) {
+    x[x.size() / 2] = std::numeric_limits<double>::quiet_NaN();
+    x[x.size() / 3] = std::numeric_limits<double>::infinity();
+    expect_same_detection(pre.detect(x, ws),
+                          oracle::reference_detect(p, pre, x, ws), what);
+  }
 }
 
 TEST(ChannelEstimate, RecoversSnrInAwgn) {

@@ -17,10 +17,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <optional>
 #include <random>
 #include <span>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "channel/channel.h"
@@ -30,6 +33,7 @@
 #include "obs/trace.h"
 #include "phy/feedback.h"
 #include "phy/preamble.h"
+#include "preamble_oracle.h"
 
 namespace aqua {
 namespace {
@@ -193,6 +197,88 @@ TEST(PrecisionEquivalence, TraceCorpusScansMatchAcrossPrecisions) {
   // to zero the corpus (or its location) changed and the test went blind.
   EXPECT_GE(streams_checked, 4u);
   EXPECT_GE(detections_seen, 2u);
+}
+
+// The scanner against the batch-form reference scanner, whose every
+// confirmation runs the per-dot metric and the full fine pass: equal
+// detections, bit for bit, at both precisions.
+void expect_bit_identical(const std::vector<phy::PreambleDetection>& got,
+                          const std::vector<phy::PreambleDetection>& want,
+                          const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].start_index, want[i].start_index) << what << " det " << i;
+    EXPECT_EQ(std::memcmp(&got[i].sliding_metric, &want[i].sliding_metric,
+                          sizeof(double)),
+              0)
+        << what << " det " << i;
+    EXPECT_EQ(std::memcmp(&got[i].coarse_peak, &want[i].coarse_peak,
+                          sizeof(double)),
+              0)
+        << what << " det " << i;
+  }
+}
+
+template <typename T>
+void expect_scan_matches_reference(const phy::OfdmParams& params,
+                                   const phy::Preamble& pre,
+                                   std::span<const T> rx,
+                                   const std::string& what,
+                                   dsp::Workspace& ws) {
+  expect_bit_identical(scan_chunked<T>(pre, rx, 997, ws),
+                       oracle::reference_scan<T>(params, pre, rx, ws), what);
+}
+
+TEST(ScannerOracle, ChannelCapturesMatchReferenceBitForBit) {
+  const phy::OfdmParams params;
+  phy::Preamble preamble(params);
+  dsp::Workspace ws;
+  std::size_t detections = 0;
+  for (const auto& [site, range, seed] :
+       {std::tuple{channel::Site::kLake, 10.0, 77u},
+        std::tuple{channel::Site::kBridge, 5.0, 55u},
+        std::tuple{channel::Site::kLake, 30.0, 91u}}) {
+    channel::LinkConfig lc;
+    lc.site = channel::site_preset(site);
+    lc.range_m = range;
+    lc.seed = seed;
+    channel::UnderwaterChannel ch(lc);
+    const std::vector<double> rx = phase1_capture(ch, params, 32);
+    const std::vector<float> rxf = narrowed(rx);
+    const std::string what = "seed " + std::to_string(seed);
+    expect_scan_matches_reference<double>(params, preamble, rx, what, ws);
+    expect_scan_matches_reference<float>(params, preamble, rxf, what + " f32",
+                                         ws);
+    detections += scan_chunked<float>(preamble, {rxf}, 4800, ws).size();
+  }
+  EXPECT_GE(detections, 3u);
+}
+
+TEST(ScannerOracle, TraceCorpusMatchesReferenceBitForBit) {
+  const std::filesystem::path dir(AQUA_TRACE_DIR);
+  ASSERT_TRUE(std::filesystem::exists(dir)) << dir;
+  std::size_t streams_checked = 0;
+  dsp::Workspace ws;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".aqt") continue;
+    const obs::Trace trace = obs::read_trace(entry.path().string());
+    for (int ep : trace.endpoints()) {
+      const core::ModemConfig* cfg = trace.endpoint_config(ep);
+      ASSERT_NE(cfg, nullptr);
+      const std::vector<double> rx = mic_stream(trace, ep);
+      if (rx.empty()) continue;
+      phy::Preamble preamble(cfg->params);
+      const std::vector<float> rxf = narrowed(rx);
+      const std::string what =
+          entry.path().filename().string() + " ep " + std::to_string(ep);
+      expect_scan_matches_reference<double>(cfg->params, preamble, rx, what,
+                                            ws);
+      expect_scan_matches_reference<float>(cfg->params, preamble, rxf,
+                                           what + " f32", ws);
+      ++streams_checked;
+    }
+  }
+  EXPECT_GE(streams_checked, 4u);
 }
 
 TEST(PrecisionEquivalence, CorrelatorPeakSameLagWithinTolerance) {

@@ -7,6 +7,7 @@
 // BIT-IDENTICAL to the scalar reference — same fused multiply-adds, same
 // lane structure, same reduction order — which is what lets the streaming
 // chunking/thread-count invariants survive vectorization.
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstdint>
@@ -190,12 +191,18 @@ TEST(Simd, ActiveTableIsRunnable) {
   EXPECT_NE(k.name, nullptr);
   EXPECT_NE(k.dot, nullptr);
   EXPECT_NE(k.cmul_inplace, nullptr);
-  EXPECT_NE(k.sdft_update, nullptr);
+  EXPECT_NE(k.segment_dots, nullptr);
+  EXPECT_NE(k.sdft_run, nullptr);
   EXPECT_NE(k.fft_stages, nullptr);
+  EXPECT_NE(k.rfft_untwiddle, nullptr);
+  EXPECT_NE(k.irfft_untwiddle, nullptr);
   EXPECT_NE(k.dot_f, nullptr);
   EXPECT_NE(k.cmul_inplace_f, nullptr);
-  EXPECT_NE(k.sdft_update_f, nullptr);
+  EXPECT_NE(k.segment_dots_f, nullptr);
+  EXPECT_NE(k.sdft_run_f, nullptr);
   EXPECT_NE(k.fft_stages_f, nullptr);
+  EXPECT_NE(k.rfft_untwiddle_f, nullptr);
+  EXPECT_NE(k.irfft_untwiddle_f, nullptr);
   // The scalar table must always be reachable.
   ASSERT_NE(simd::kernels_for(simd::Isa::kScalar), nullptr);
 }
@@ -258,51 +265,173 @@ TEST(Simd, CmulBitIdenticalAcrossTargetsAndCorrect) {
   }
 }
 
-// Row-update lengths: the bin counts {1, 3, 7, 8, 60, 61} and the
-// [re | im] lengths (twice those) moving_dft_power passes, so every vector
-// tail (mod 2, 4 and 8) runs on every target.
-const std::size_t kSdftLengths[] = {1, 3, 7, 8, 60, 61, 2, 6, 14, 16, 120, 122};
+// Moving-DFT bin counts around the block width (4 double / 8 float bins)
+// and the paper's 60, with run lengths around the kernels' 32-update slabs.
+const std::size_t kSdftBins[] = {1, 3, 4, 7, 8, 9, 60, 61};
+const std::size_t kSdftLens[] = {0, 1, 5, 31, 32, 33, 100};
 
-// The row kernel, five updates deep with fresh rows each time, against the
-// scalar reference bit for bit and a plain multiply-add within rounding.
+// The run kernel against the per-sample form it replaced: before update t,
+// write the power rows due after t updates; then one fused axpy
+// acc[i] = fma(d, row[i], acc[i]) over the whole blocked row. Every
+// target's sums and power rows must match bit for bit, and no write may
+// land past a row's `bins` values.
 template <typename T>
-void check_sdft_update(
-    std::vector<T> (*random)(std::size_t, std::uint64_t),
-    void (*kernel)(const simd::Kernels&, T*, const T*, T, std::size_t),
-    T tol) {
-  const simd::Kernels* scalar = simd::kernels_for(simd::Isa::kScalar);
-  ASSERT_NE(scalar, nullptr);
-  for (const std::size_t n : kSdftLengths) {
-    const std::vector<T> acc0 = random(n, 800 + n);
-    std::vector<std::vector<T>> rows;
-    for (int iter = 0; iter < 5; ++iter) rows.push_back(random(n, 900 + n + iter));
-    const T d = T(0.8371);
-    std::vector<T> ref = acc0, naive = acc0;
-    for (const std::vector<T>& row : rows) {
-      kernel(*scalar, ref.data(), row.data(), d, n);
-      for (std::size_t i = 0; i < n; ++i) naive[i] += d * row[i];
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(ref[i], naive[i], tol * (T(1) + std::abs(naive[i])));
-    }
-    for (const simd::Kernels* k : runnable_targets()) {
-      std::vector<T> got = acc0;
-      for (const std::vector<T>& row : rows) {
-        kernel(*k, got.data(), row.data(), d, n);
+void check_sdft_run(std::vector<T> (*random)(std::size_t, std::uint64_t),
+                    void (*kernel)(const simd::Kernels&, T*, const T*,
+                                   std::size_t, const T*, std::size_t,
+                                   std::size_t, const simd::SdftEmit<T>*,
+                                   std::size_t)) {
+  constexpr std::size_t kB = simd::kSdftBlock<T>;
+  const std::size_t window = 13;
+  for (const std::size_t bins : kSdftBins) {
+    const std::size_t width = (bins + kB - 1) / kB * 2 * kB;
+    for (const std::size_t len : kSdftLens) {
+      const std::uint64_t seed = 800 + 10 * bins + len;
+      const std::vector<T> acc0 = random(width, seed);
+      const std::vector<T> rows = random(width * std::max<std::size_t>(len, 1),
+                                         seed + 1);
+      const std::vector<T> x = random(len + window, seed + 2);
+      // Emits at 0, every third update, twice at the midpoint and at len.
+      std::vector<std::size_t> after = {0};
+      for (std::size_t t = 3; t < len; t += 3) after.push_back(t);
+      after.push_back(len / 2);
+      after.push_back(len / 2);
+      after.push_back(len);
+      std::sort(after.begin(), after.end());
+      const std::size_t pitch = bins + 1;  // one sentinel per power row
+      const T sentinel = T(-7);
+
+      std::vector<T> want_acc = acc0;
+      std::vector<T> want_pow(after.size() * pitch, sentinel);
+      std::size_t e = 0;
+      for (std::size_t t = 0;; ++t) {
+        for (; e < after.size() && after[e] == t; ++e) {
+          for (std::size_t k = 0; k < bins; ++k) {
+            const T* blk = want_acc.data() + (k / kB) * 2 * kB;
+            const T re = blk[k % kB], im = blk[kB + k % kB];
+            want_pow[e * pitch + k] = re * re + im * im;
+          }
+        }
+        if (t == len) break;
+        const T d = x[t + window] - x[t];
+        for (std::size_t i = 0; i < width; ++i) {
+          want_acc[i] = std::fma(d, rows[t * width + i], want_acc[i]);
+        }
       }
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(got[i], ref[i]) << k->name << " n " << n << " i " << i;
+
+      for (const simd::Kernels* k : runnable_targets()) {
+        std::vector<T> acc = acc0;
+        std::vector<T> pow(after.size() * pitch, sentinel);
+        std::vector<simd::SdftEmit<T>> emits;
+        for (std::size_t i = 0; i < after.size(); ++i) {
+          emits.push_back({after[i], pow.data() + i * pitch});
+        }
+        kernel(*k, acc.data(), rows.data(), bins, x.data(), window, len,
+               emits.data(), emits.size());
+        for (std::size_t i = 0; i < width; ++i) {
+          ASSERT_EQ(acc[i], want_acc[i])
+              << k->name << " bins " << bins << " len " << len << " i " << i;
+        }
+        for (std::size_t i = 0; i < pow.size(); ++i) {
+          ASSERT_EQ(pow[i], want_pow[i])
+              << k->name << " bins " << bins << " len " << len << " slot "
+              << i;
+        }
       }
     }
   }
 }
 
-TEST(Simd, SdftUpdateBitIdenticalAcrossTargetsAndCorrect) {
-  check_sdft_update<double>(
+TEST(Simd, SdftRunMatchesPerSampleAxpyOnEveryTarget) {
+  check_sdft_run<double>(
+      random_real, [](const simd::Kernels& k, double* acc, const double* rows,
+                      std::size_t bins, const double* x, std::size_t window,
+                      std::size_t len, const simd::SdftEmit<double>* emits,
+                      std::size_t n) {
+        k.sdft_run(acc, rows, bins, x, window, len, emits, n);
+      });
+}
+
+// Real data for the confirmation-dot check: random, with NaN, +Inf and
+// -Inf planted, scaled into the subnormal range, or scaled near the
+// overflow threshold so products overflow to Inf.
+template <typename T>
+std::vector<T> hostile_real(std::vector<T> x, int fill) {
+  if (fill == 1 && x.size() > 2) {
+    x[x.size() / 3] = std::numeric_limits<T>::quiet_NaN();
+    x[x.size() / 2] = std::numeric_limits<T>::infinity();
+    x[x.size() - 1] = -std::numeric_limits<T>::infinity();
+  } else if (fill == 2) {
+    const T tiny = std::numeric_limits<T>::denorm_min() * T(64);
+    for (T& v : x) v *= tiny;
+  } else if (fill == 3) {
+    const T big = std::sqrt(std::numeric_limits<T>::max()) * T(0.75);
+    for (T& v : x) v *= big;
+  }
+  return x;
+}
+
+// Equal bits, or NaN in both: which NaN an operation propagates depends on
+// operand order, which the compiler may swap in commutative operations.
+template <typename T>
+bool same_value(T a, T b) {
+  return (std::isnan(a) && std::isnan(b)) ||
+         std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+// The batch confirmation kernel against one reference dot per value, at
+// the scanner's two strides, batch counts 1-9 (full and partial batches of
+// every target), segment lengths with and without vector tails, and
+// hostile data.
+template <typename T>
+void check_segment_dots(std::vector<T> (*random)(std::size_t, std::uint64_t),
+                        T (*dot)(const simd::Kernels&, const T*, const T*,
+                                 std::size_t),
+                        void (*kernel)(const simd::Kernels&, const T*,
+                                       std::size_t, std::size_t, std::size_t,
+                                       T*)) {
+  constexpr std::size_t kS = simd::kSegments;
+  const simd::Kernels* scalar = simd::kernels_for(simd::Isa::kScalar);
+  ASSERT_NE(scalar, nullptr);
+  for (const std::size_t n : {5, 13, 61, 960, 1920}) {
+    for (int fill = 0; fill < 4; ++fill) {
+      const std::vector<T> x =
+          hostile_real(random(kS * n + 9 * 8, 2300 + n), fill);
+      for (const std::size_t stride : {1, 8}) {
+        for (std::size_t count = 1; count <= 9; ++count) {
+          std::vector<T> want(count * kS);
+          for (std::size_t p = 0; p < count; ++p) {
+            const T* w = x.data() + p * stride;
+            for (std::size_t s = 0; s + 1 < kS; ++s) {
+              want[p * kS + s] = dot(*scalar, w + s * n, w + (s + 1) * n, n);
+            }
+            want[p * kS + kS - 1] = dot(*scalar, w, w, kS * n);
+          }
+          for (const simd::Kernels* k : runnable_targets()) {
+            std::vector<T> got(count * kS);
+            kernel(*k, x.data(), n, stride, count, got.data());
+            for (std::size_t i = 0; i < got.size(); ++i) {
+              ASSERT_TRUE(same_value(got[i], want[i]))
+                  << k->name << " n " << n << " fill " << fill << " stride "
+                  << stride << " count " << count << " value " << i << ": "
+                  << got[i] << " vs " << want[i];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Simd, SegmentDotsMatchPerDotReferenceOnEveryTarget) {
+  check_segment_dots<double>(
       random_real,
-      [](const simd::Kernels& k, double* acc, const double* row, double d,
-         std::size_t n) { k.sdft_update(acc, row, d, n); },
-      1e-12);
+      [](const simd::Kernels& k, const double* a, const double* b,
+         std::size_t n) { return k.dot(a, b, n); },
+      [](const simd::Kernels& k, const double* x, std::size_t n,
+         std::size_t stride, std::size_t count, double* out) {
+        k.segment_dots(x, n, stride, count, out);
+      });
 }
 
 // The whole-transform kernel's contract, evaluated stage by stage and
@@ -348,13 +477,6 @@ std::vector<C> hostile_fill(std::vector<C> x, int fill) {
   return x;
 }
 
-// Equal bits, or NaN in both: which NaN an operation propagates depends on
-// operand order, which the compiler may swap in commutative operations.
-template <typename T>
-bool same_value(T a, T b) {
-  return (std::isnan(a) && std::isnan(b)) ||
-         std::memcmp(&a, &b, sizeof(T)) == 0;
-}
 
 // Every power-of-two size m = 1 ... 32768: m < 8 takes the vector
 // targets' small-transform tails, m = 8 ... 2048 runs one cache block
@@ -445,12 +567,25 @@ TEST(Simd, CmulFloatBitIdenticalAcrossTargetsAndCorrect) {
   }
 }
 
-TEST(Simd, SdftUpdateFloatBitIdenticalAcrossTargetsAndCorrect) {
-  check_sdft_update<float>(
+TEST(Simd, SdftRunFloatMatchesPerSampleAxpyOnEveryTarget) {
+  check_sdft_run<float>(
+      random_realf, [](const simd::Kernels& k, float* acc, const float* rows,
+                       std::size_t bins, const float* x, std::size_t window,
+                       std::size_t len, const simd::SdftEmit<float>* emits,
+                       std::size_t n) {
+        k.sdft_run_f(acc, rows, bins, x, window, len, emits, n);
+      });
+}
+
+TEST(Simd, SegmentDotsFloatMatchPerDotReferenceOnEveryTarget) {
+  check_segment_dots<float>(
       random_realf,
-      [](const simd::Kernels& k, float* acc, const float* row, float d,
-         std::size_t n) { k.sdft_update_f(acc, row, d, n); },
-      1e-5f);
+      [](const simd::Kernels& k, const float* a, const float* b,
+         std::size_t n) { return k.dot_f(a, b, n); },
+      [](const simd::Kernels& k, const float* x, std::size_t n,
+         std::size_t stride, std::size_t count, float* out) {
+        k.segment_dots_f(x, n, stride, count, out);
+      });
 }
 
 TEST(Simd, ButterflyFloatBitIdenticalAcrossTargetsAndCorrect) {
@@ -459,6 +594,132 @@ TEST(Simd, ButterflyFloatBitIdenticalAcrossTargetsAndCorrect) {
       [](const simd::Kernels& k, cplxf* x, const cplxf* tw, std::size_t m,
          bool conj_w) { k.fft_stages_f(x, tw, m, conj_w); },
       2100);
+}
+
+
+// --- Real-FFT untwiddles. ------------------------------------------------
+
+// The documented trees, spelled out element by element (this file builds
+// with -ffp-contract=off, so nothing here is fused).
+template <typename T>
+std::vector<std::complex<T>> reference_rfft_untwiddle(
+    const std::vector<std::complex<T>>& z,
+    const std::vector<std::complex<T>>& tw, std::size_t h) {
+  std::vector<std::complex<T>> out(h + 1);
+  out[0] = {z[0].real() + z[0].imag(), T(0)};
+  out[h] = {z[0].real() - z[0].imag(), T(0)};
+  for (std::size_t k = 1; k < h; ++k) {
+    const T zr = z[k].real(), zi = z[k].imag();
+    const T cr = z[h - k].real(), ci = -z[h - k].imag();
+    const T er = T(0.5) * (zr + cr), ei = T(0.5) * (zi + ci);
+    const T orr = T(0.5) * (zi - ci), oi = T(-0.5) * (zr - cr);
+    const T wr = tw[k].real(), wi = tw[k].imag();
+    out[k] = {er + (wr * orr - wi * oi), ei + (wr * oi + wi * orr)};
+  }
+  return out;
+}
+
+template <typename T>
+std::vector<std::complex<T>> reference_irfft_untwiddle(
+    const std::vector<std::complex<T>>& in,
+    const std::vector<std::complex<T>>& tw, std::size_t h,
+    const std::uint32_t* slot) {
+  std::vector<std::complex<T>> zf(h);
+  for (std::size_t k = 0; k < h; ++k) {
+    const T xr = in[k].real(), xi = in[k].imag();
+    const T cr = in[h - k].real(), ci = -in[h - k].imag();
+    const T er = T(0.5) * (xr + cr), ei = T(0.5) * (xi + ci);
+    const T pr = T(0.5) * (xr - cr), pi = T(0.5) * (xi - ci);
+    const T wr = tw[k].real(), wi = -tw[k].imag();
+    const T orr = wr * pr - wi * pi, oi = wr * pi + wi * pr;
+    zf[slot != nullptr ? slot[k] : k] = {er - oi, ei + orr};
+  }
+  return zf;
+}
+
+// Bit reversal of k on log2(h) bits (h a power of two): the slot order the
+// packed inverse writes for a radix-2 half.
+std::vector<std::uint32_t> bit_reversal(std::size_t h) {
+  std::size_t bits = 0;
+  while ((std::size_t{1} << bits) < h) ++bits;
+  std::vector<std::uint32_t> r(h);
+  for (std::size_t k = 0; k < h; ++k) {
+    std::uint32_t v = 0;
+    for (std::size_t b = 0; b < bits; ++b) {
+      if (k & (std::size_t{1} << b)) v |= std::uint32_t{1} << (bits - 1 - b);
+    }
+    r[k] = v;
+  }
+  return r;
+}
+
+// Halves of 1, odd halves and every power of two up to 2^15, on random,
+// NaN/Inf-bearing, subnormal and zero spectra; the inverse both in natural
+// order and into bit-reversed slots. The twiddles are random, so no lane
+// can pass by reading a neighbour's factor.
+template <typename T, typename Gen, typename Fwd, typename Inv>
+void check_untwiddles(Gen gen, Fwd fwd, Inv inv, std::uint64_t seed) {
+  std::vector<std::size_t> halves = {1, 3, 5, 7, 9, 15, 33, 255};
+  for (std::size_t h = 2; h <= 32768; h *= 2) halves.push_back(h);
+  for (const std::size_t h : halves) {
+    const auto tw = gen(h + 1, seed + 3 * h);
+    const std::vector<std::uint32_t> br = bit_reversal(h);
+    const bool pow2 = (h & (h - 1)) == 0;
+    for (int fill = 0; fill < 4; ++fill) {
+      const auto z = hostile_fill(gen(h + 1, seed + h), fill);
+      const auto want = reference_rfft_untwiddle<T>(z, tw, h);
+      const auto want_nat = reference_irfft_untwiddle<T>(z, tw, h, nullptr);
+      const auto want_br =
+          reference_irfft_untwiddle<T>(z, tw, h, pow2 ? br.data() : nullptr);
+      for (const simd::Kernels* k : runnable_targets()) {
+        std::vector<std::complex<T>> got(h + 1);
+        fwd(*k, z.data(), tw.data(), got.data(), h);
+        for (std::size_t i = 0; i <= h; ++i) {
+          ASSERT_TRUE(same_value(got[i].real(), want[i].real()) &&
+                      same_value(got[i].imag(), want[i].imag()))
+              << k->name << " forward h " << h << " fill " << fill << " bin "
+              << i << ": " << got[i] << " vs " << want[i];
+        }
+        for (const bool permuted : {false, true}) {
+          const std::uint32_t* slot = permuted && pow2 ? br.data() : nullptr;
+          const auto& ref = permuted ? want_br : want_nat;
+          std::vector<std::complex<T>> zf(h);
+          inv(*k, z.data(), tw.data(), zf.data(), h, slot);
+          for (std::size_t i = 0; i < h; ++i) {
+            ASSERT_TRUE(same_value(zf[i].real(), ref[i].real()) &&
+                        same_value(zf[i].imag(), ref[i].imag()))
+                << k->name << " inverse h " << h << " permuted " << permuted
+                << " fill " << fill << " slot " << i << ": " << zf[i]
+                << " vs " << ref[i];
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Simd, UntwiddlesBitIdenticalAcrossTargetsAndCorrect) {
+  check_untwiddles<double>(
+      random_cplx,
+      [](const simd::Kernels& k, const cplx* z, const cplx* tw, cplx* out,
+         std::size_t h) { k.rfft_untwiddle(z, tw, out, h); },
+      [](const simd::Kernels& k, const cplx* in, const cplx* tw, cplx* zf,
+         std::size_t h, const std::uint32_t* slot) {
+        k.irfft_untwiddle(in, tw, zf, h, slot);
+      },
+      3100);
+}
+
+TEST(Simd, UntwiddlesFloatBitIdenticalAcrossTargetsAndCorrect) {
+  check_untwiddles<float>(
+      random_cplxf,
+      [](const simd::Kernels& k, const cplxf* z, const cplxf* tw, cplxf* out,
+         std::size_t h) { k.rfft_untwiddle_f(z, tw, out, h); },
+      [](const simd::Kernels& k, const cplxf* in, const cplxf* tw, cplxf* zf,
+         std::size_t h, const std::uint32_t* slot) {
+        k.irfft_untwiddle_f(in, tw, zf, h, slot);
+      },
+      4100);
 }
 
 }  // namespace
