@@ -84,20 +84,6 @@ static_assert(dsp::simd::kSegments == OfdmParams::kPreambleSymbols);
 }  // namespace
 
 template <typename T>
-double Preamble::sliding_metric_at_t(std::span<const T> signal,
-                                     std::size_t start) const {
-  if (start + core_samples_ > signal.size()) return 0.0;
-  // Segment correlations and the window energy are contiguous dot products
-  // — the dispatched confirmation kernel of T's precision runs them (batch
-  // detect() and the streaming scanner call the same kernel, so both paths
-  // stay identical).
-  T dots[dsp::simd::kSegments];
-  dsp::simd::segment_dots(dsp::simd::active(), signal.data() + start,
-                          params_.symbol_samples(), 1, 1, dots);
-  return metric_from_dots(dots);
-}
-
-template <typename T>
 void Preamble::best_of(std::span<const T> signal, std::uint64_t base,
                        std::uint64_t first, std::uint64_t end,
                        std::size_t stride, double& best_metric,
@@ -150,20 +136,11 @@ std::pair<double, std::uint64_t> Preamble::confirm(std::span<const T> signal,
   return {best_metric, best_idx};
 }
 
-template double Preamble::sliding_metric_at_t<double>(std::span<const double>,
-                                                      std::size_t) const;
-template double Preamble::sliding_metric_at_t<float>(std::span<const float>,
-                                                     std::size_t) const;
 template std::pair<double, std::uint64_t> Preamble::confirm<double>(
     std::span<const double>, std::uint64_t, std::uint64_t,
     std::uint64_t) const;
 template std::pair<double, std::uint64_t> Preamble::confirm<float>(
     std::span<const float>, std::uint64_t, std::uint64_t, std::uint64_t) const;
-
-double Preamble::sliding_metric_at(std::span<const double> signal,
-                                   std::size_t start) const {
-  return sliding_metric_at_t<double>(signal, start);
-}
 
 std::optional<PreambleDetection> Preamble::detect(
     std::span<const double> raw_signal, dsp::Workspace& ws) const {

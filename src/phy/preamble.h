@@ -58,19 +58,6 @@ class Preamble {
   std::optional<PreambleDetection> detect(std::span<const double> signal,
                                           dsp::Workspace& ws) const;
 
-  /// Normalized sliding segment-correlation metric for a window starting at
-  /// `start` (exposed for tests and the Fig.-ablation bench).
-  double sliding_metric_at(std::span<const double> signal,
-                           std::size_t start) const;
-
-  /// Sample-type generic form of the same metric: the segment dot products
-  /// run through the dispatched confirmation kernel of T's precision, the
-  /// metric itself accumulates in double. The double instantiation IS
-  /// sliding_metric_at.
-  template <typename T>
-  double sliding_metric_at_t(std::span<const T> signal,
-                             std::size_t start) const;
-
   /// Detection thresholds. The paper reports a clean preamble scoring
   /// > 0.6 and spiky noise < 0.2. After the receive bandpass, our measured
   /// noise-only metric stays below ~0.11 while a 30 m (lowest-SNR)
@@ -208,10 +195,5 @@ using PreambleScanner = BasicPreambleScanner<double>;
 
 extern template class BasicPreambleScanner<double>;
 extern template class BasicPreambleScanner<float>;
-
-extern template double Preamble::sliding_metric_at_t<double>(
-    std::span<const double>, std::size_t) const;
-extern template double Preamble::sliding_metric_at_t<float>(
-    std::span<const float>, std::size_t) const;
 
 }  // namespace aqua::phy

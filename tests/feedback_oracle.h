@@ -38,6 +38,9 @@ namespace aqua::oracle {
 #endif
 template <typename T>
 AQUA_ORACLE_NO_CONTRACT T unfused_power(T re, T im) {
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#endif
   return re * re + im * im;
 }
 #undef AQUA_ORACLE_NO_CONTRACT

@@ -19,8 +19,10 @@
 
 #include "dsp/types.h"
 
-// The butterfly tree is unfused by contract; keep the compiler from
-// contracting it where the baseline ISA has FMA (AArch64).
+// The butterfly and untwiddle trees are unfused by contract; keep the
+// compiler from contracting them where the baseline ISA has FMA (AArch64).
+// The build turns contraction off everywhere; this keeps the header right
+// when it is compiled without that flag.
 #if defined(__clang__)
 #define AQUA_ORACLE_NO_CONTRACT
 #elif defined(__GNUC__)
@@ -223,15 +225,7 @@ class Rfft {
     std::vector<C> out(h_ + 1);
     out[0] = {zf[0].real() + zf[0].imag(), T(0.0)};
     out[h_] = {zf[0].real() - zf[0].imag(), T(0.0)};
-    const T half_scale = T(0.5);
-    for (std::size_t k = 1; k < h_; ++k) {
-      const T zr = zf[k].real(), zi = zf[k].imag();
-      const T cr = zf[h_ - k].real(), ci = -zf[h_ - k].imag();
-      const T er = half_scale * (zr + cr), ei = half_scale * (zi + ci);
-      const T orr = half_scale * (zi - ci), oi = -half_scale * (zr - cr);
-      const T wr = twiddle_[k].real(), wi = twiddle_[k].imag();
-      out[k] = {er + (wr * orr - wi * oi), ei + (wr * oi + wi * orr)};
-    }
+    untwiddle(zf.data(), twiddle_.data(), out.data(), h_);
     return out;
   }
 
@@ -249,16 +243,7 @@ class Rfft {
       return out;
     }
     std::vector<C> zf(h_);
-    const T half_scale = T(0.5);
-    for (std::size_t k = 0; k < h_; ++k) {
-      const T xr = in[k].real(), xi = in[k].imag();
-      const T cr = in[h_ - k].real(), ci = -in[h_ - k].imag();
-      const T er = half_scale * (xr + cr), ei = half_scale * (xi + ci);
-      const T owr = half_scale * (xr - cr), owi = half_scale * (xi - ci);
-      const T wr = twiddle_[k].real(), wi = -twiddle_[k].imag();
-      const T orr = wr * owr - wi * owi, oi = wr * owi + wi * owr;
-      zf[k] = {er - oi, ei + orr};
-    }
+    inverse_untwiddle(in.data(), twiddle_.data(), zf.data(), h_);
     const std::vector<C> z = inner_.inverse(zf);
     for (std::size_t k = 0; k < h_; ++k) {
       out[2 * k] = z[k].real();
@@ -268,6 +253,42 @@ class Rfft {
   }
 
  private:
+  // The untwiddle trees are unfused by contract, as the butterfly.
+  // Bins 1 ... h-1 of the forward split; the edge bins are set by forward().
+  AQUA_ORACLE_NO_CONTRACT static void untwiddle(const C* zf, const C* tw,
+                                                C* out, std::size_t h) {
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#endif
+    const T half_scale = T(0.5);
+    for (std::size_t k = 1; k < h; ++k) {
+      const T zr = zf[k].real(), zi = zf[k].imag();
+      const T cr = zf[h - k].real(), ci = -zf[h - k].imag();
+      const T er = half_scale * (zr + cr), ei = half_scale * (zi + ci);
+      const T orr = half_scale * (zi - ci), oi = -half_scale * (zr - cr);
+      const T wr = tw[k].real(), wi = tw[k].imag();
+      out[k] = {er + (wr * orr - wi * oi), ei + (wr * oi + wi * orr)};
+    }
+  }
+
+  AQUA_ORACLE_NO_CONTRACT static void inverse_untwiddle(const C* in,
+                                                        const C* tw, C* zf,
+                                                        std::size_t h) {
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#endif
+    const T half_scale = T(0.5);
+    for (std::size_t k = 0; k < h; ++k) {
+      const T xr = in[k].real(), xi = in[k].imag();
+      const T cr = in[h - k].real(), ci = -in[h - k].imag();
+      const T er = half_scale * (xr + cr), ei = half_scale * (xi + ci);
+      const T owr = half_scale * (xr - cr), owi = half_scale * (xi - ci);
+      const T wr = tw[k].real(), wi = -tw[k].imag();
+      const T orr = wr * owr - wi * owi, oi = wr * owi + wi * owr;
+      zf[k] = {er - oi, ei + orr};
+    }
+  }
+
   std::size_t n_ = 0;
   std::size_t h_ = 0;
   Fft<T> inner_;

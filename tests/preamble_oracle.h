@@ -1,8 +1,9 @@
 // Test-only reference implementations of the preamble confirmation as it
 // was written before the batch confirmation kernel:
-//   * reference_sliding_metric — one start's metric from eight separate
-//     dispatched `dot` calls (seven adjacent segments, then the window
-//     energy), accumulated in double;
+//   * reference_segment_dots / reference_sliding_metric — one start's
+//     dots from eight separate dispatched `dot` calls (seven adjacent
+//     segments, then the window energy) and its metric from them,
+//     accumulated in double;
 //   * reference_confirm — the step-8 pass and the full 17-start fine pass
 //     around its best, every start evaluated, strict `>` updates;
 //   * reference_detect / reference_scan — Preamble::detect and the
@@ -13,6 +14,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -32,6 +34,24 @@
 
 namespace aqua::oracle {
 
+/// One start's confirmation dots from eight separate dispatched `dot`
+/// calls: the seven adjacent-segment dots, then the window energy. The
+/// window must lie inside the signal.
+template <typename T>
+std::array<T, phy::OfdmParams::kPreambleSymbols> reference_segment_dots(
+    std::span<const T> signal, std::size_t n, std::size_t start) {
+  constexpr std::size_t kSym = phy::OfdmParams::kPreambleSymbols;
+  const dsp::simd::Kernels& kern = dsp::simd::active();
+  std::array<T, kSym> dots{};
+  for (std::size_t s = 0; s + 1 < kSym; ++s) {
+    const T* a = signal.data() + start + s * n;
+    dots[s] = dsp::simd::dot(kern, a, a + n, n);
+  }
+  const T* w = signal.data() + start;
+  dots[kSym - 1] = dsp::simd::dot(kern, w, w, kSym * n);
+  return dots;
+}
+
 /// The per-dot sliding metric at `start` (0 when the window leaves the
 /// signal or carries no energy).
 template <typename T>
@@ -39,17 +59,14 @@ double reference_sliding_metric(std::span<const T> signal, std::size_t n,
                                 std::size_t start) {
   constexpr std::size_t kSym = phy::OfdmParams::kPreambleSymbols;
   if (start + kSym * n > signal.size()) return 0.0;
-  const dsp::simd::Kernels& kern = dsp::simd::active();
+  const auto dots = reference_segment_dots(signal, n, start);
   double corr_sum = 0.0;
   for (std::size_t s = 0; s + 1 < kSym; ++s) {
-    const T* a = signal.data() + start + s * n;
     const double sign = static_cast<double>(phy::OfdmParams::kPnSigns[s] *
                                             phy::OfdmParams::kPnSigns[s + 1]);
-    corr_sum += sign * static_cast<double>(dsp::simd::dot(kern, a, a + n, n));
+    corr_sum += sign * static_cast<double>(dots[s]);
   }
-  const T* w = signal.data() + start;
-  const double energy_sum =
-      static_cast<double>(dsp::simd::dot(kern, w, w, kSym * n));
+  const double energy_sum = static_cast<double>(dots[kSym - 1]);
   if (energy_sum <= 1e-12) return 0.0;
   return corr_sum / energy_sum;
 }

@@ -8,6 +8,7 @@
 #include <limits>
 #include <optional>
 #include <random>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "channel/channel.h"
 #include "dsp/fir.h"
 #include "dsp/linalg.h"
+#include "dsp/simd.h"
 #include "dsp/workspace.h"
 #include "phy/bandselect.h"
 #include "phy/chanest.h"
@@ -216,25 +218,45 @@ std::vector<std::pair<std::string, std::vector<double>>> preamble_captures(
   return out;
 }
 
-TEST(PreambleOracle, SlidingMetricMatchesPerDotReferenceBitForBit) {
-  const OfdmParams p;
-  Preamble pre(p);
-  const std::size_t n = p.symbol_samples();
-  for (const auto& [what, x] : preamble_captures(p, pre)) {
-    const std::vector<float> xf = dsp::convert_samples<float>(x);
-    for (std::size_t i = 0; i < x.size(); i += 97) {
-      for (const std::size_t at : {i, x.size() - pre.core_samples() + i % 5}) {
-        const double got = pre.sliding_metric_at(x, at);
-        const double want =
-            oracle::reference_sliding_metric<double>(x, n, at);
-        ASSERT_TRUE(same_bits(got, want)) << what << " start " << at;
-        const double got_f =
-            pre.sliding_metric_at_t<float>(std::span<const float>(xf), at);
-        const double want_f = oracle::reference_sliding_metric<float>(
-            std::span<const float>(xf), n, at);
-        ASSERT_TRUE(same_bits(got_f, want_f)) << what << " float start " << at;
+// The batch kernel over the confirmation's batches (step 8 and the fine
+// pass's step 1, partial batches included) on real captures: every start's
+// eight dots equal the separate `dot` calls bit for bit.
+template <typename T>
+void expect_segment_dots_match(std::span<const T> x, std::size_t n,
+                               std::size_t core, const std::string& what) {
+  constexpr std::size_t kSeg = dsp::simd::kSegments;
+  const dsp::simd::Kernels& kern = dsp::simd::active();
+  std::vector<T> out(9 * kSeg);
+  for (const std::size_t stride : {std::size_t{1}, Preamble::kSlidingStep}) {
+    for (std::size_t count = 1; count <= 9; ++count) {
+      const std::size_t span = (count - 1) * stride + core;
+      for (std::size_t at = (count * 37) % 11; at + span <= x.size();
+           at += 1009 + count) {
+        dsp::simd::segment_dots(kern, x.data() + at, n, stride, count,
+                                out.data());
+        for (std::size_t c = 0; c < count; ++c) {
+          const auto want =
+              oracle::reference_segment_dots(x, n, at + c * stride);
+          ASSERT_EQ(std::memcmp(out.data() + c * kSeg, want.data(),
+                                kSeg * sizeof(T)),
+                    0)
+              << what << " start " << at + c * stride << " stride "
+              << stride << " count " << count;
+        }
       }
     }
+  }
+}
+
+TEST(PreambleOracle, SegmentDotsMatchPerDotReferenceBitForBit) {
+  const OfdmParams p;
+  Preamble pre(p);
+  for (const auto& [what, x] : preamble_captures(p, pre)) {
+    expect_segment_dots_match<double>(x, p.symbol_samples(),
+                                      pre.core_samples(), what);
+    const std::vector<float> xf = dsp::convert_samples<float>(x);
+    expect_segment_dots_match<float>(xf, p.symbol_samples(),
+                                     pre.core_samples(), what + " float");
   }
 }
 
